@@ -1,0 +1,6 @@
+//! `morpheus-benchmark --workload <name> --seed <n> --seconds <s> --trace <0|1>`
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    std::process::exit(morpheus_benchmark::cli::main(&args));
+}
