@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use crate::channel::ChannelId;
 use crate::intern::Name;
 use crate::timer::TimerKey;
-use crate::wire::{Wire, WireError, WireReader, WireWriter};
+use crate::wire::{column_u32, Row, Wire, WireError, WireReader, WireWriter};
 
 /// Identifier of a node (participant) in the distributed system.
 #[derive(
@@ -45,6 +45,28 @@ impl Wire for NodeId {
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(NodeId(r.get_u32()?))
+    }
+}
+
+impl Row<1> for NodeId {
+    fn columns(&self) -> [u64; 1] {
+        [u64::from(self.0)]
+    }
+
+    fn from_columns([node]: [u64; 1]) -> Result<Self, WireError> {
+        Ok(NodeId(column_u32(node)?))
+    }
+}
+
+/// A `(member, counter-or-version)` row: the shape of the liveness and
+/// context digests.
+impl Row<2> for (NodeId, u64) {
+    fn columns(&self) -> [u64; 2] {
+        [u64::from(self.0 .0), self.1]
+    }
+
+    fn from_columns([node, value]: [u64; 2]) -> Result<Self, WireError> {
+        Ok((NodeId(column_u32(node)?), value))
     }
 }
 

@@ -9,7 +9,19 @@
 //!
 //! * fixed-width integers are encoded big-endian;
 //! * strings and byte slices are length-prefixed with a `u32`;
-//! * lists are length-prefixed with a `u32` element count.
+//! * lists are length-prefixed with a `u32` element count;
+//! * varints are unsigned LEB128: 7 bits per byte, least significant group
+//!   first, high bit set on every byte but the last. A `u64` takes 1 to 10
+//!   bytes; a longer, overflowing or overlong (zero-padded) varint is a
+//!   [`WireError`];
+//! * delta rows ([`WireWriter::put_rows`]) carry member-sized tables: a
+//!   varint row count, then every column of every [`Row`] as the zigzag
+//!   varint of its wrapping difference from the same column of the previous
+//!   row (the first row is diffed against zeros). Any table round-trips
+//!   exactly; the sorted tables the protocols emit (ascending node ids,
+//!   clustered counters and versions) cost about one byte per column. The
+//!   decoder checks the count against `remaining() / N` before allocating,
+//!   since every column takes at least one byte.
 
 use std::fmt;
 
@@ -49,6 +61,44 @@ impl std::error::Error for WireError {}
 /// The limit exists purely as a sanity check against corrupted input; no
 /// protocol in the suite produces fields anywhere near this large.
 pub const MAX_FIELD_LEN: u64 = 16 * 1024 * 1024;
+
+/// Longest valid varint: `ceil(64 / 7)` bytes.
+pub const MAX_VARINT_LEN: usize = 10;
+
+/// One row of a delta-coded table: `N` unsigned columns, each widened to
+/// `u64` on the wire (see [`WireWriter::put_rows`]).
+pub trait Row<const N: usize>: Sized {
+    /// The row's columns.
+    fn columns(&self) -> [u64; N];
+
+    /// Rebuilds a row from decoded columns. A column outside its field's
+    /// range (say, a node id above `u32::MAX`) is a [`WireError`].
+    fn from_columns(columns: [u64; N]) -> Result<Self, WireError>;
+}
+
+impl Row<1> for u64 {
+    fn columns(&self) -> [u64; 1] {
+        [*self]
+    }
+
+    fn from_columns([value]: [u64; 1]) -> Result<Self, WireError> {
+        Ok(value)
+    }
+}
+
+/// Narrows a decoded column to a `u32` field.
+pub fn column_u32(value: u64) -> Result<u32, WireError> {
+    u32::try_from(value).map_err(|_| WireError::Malformed("row column exceeds u32"))
+}
+
+fn zigzag(delta: u64) -> u64 {
+    let signed = delta as i64;
+    ((signed << 1) ^ (signed >> 63)) as u64
+}
+
+fn unzigzag(encoded: u64) -> u64 {
+    (encoded >> 1) ^ (encoded & 1).wrapping_neg()
+}
 
 /// Types that can be encoded to and decoded from the wire format.
 pub trait Wire: Sized {
@@ -186,6 +236,37 @@ impl WireWriter {
         self.put_u32(values.len() as u32);
         for v in values {
             self.put_u64(*v);
+        }
+    }
+
+    /// Appends an unsigned LEB128 varint (1 to [`MAX_VARINT_LEN`] bytes).
+    pub fn put_varint(&mut self, mut value: u64) {
+        let mut bytes = [0u8; MAX_VARINT_LEN];
+        let mut len = 0;
+        for slot in &mut bytes {
+            len += 1;
+            if value < 0x80 {
+                *slot = value as u8;
+                break;
+            }
+            *slot = (value as u8 & 0x7F) | 0x80;
+            value >>= 7;
+        }
+        self.buf.put_slice(bytes.get(..len).unwrap_or_default());
+    }
+
+    /// Appends a delta-coded table: a varint row count, then each column of
+    /// each row as the zigzag varint of its wrapping difference from the
+    /// previous row's column. Rows may come in any order and repeat; sorted,
+    /// clustered tables are simply the cheap case.
+    pub fn put_rows<R: Row<N>, const N: usize>(&mut self, rows: &[R]) {
+        self.put_varint(rows.len() as u64);
+        let mut previous = [0u64; N];
+        for row in rows {
+            for (column, last) in row.columns().into_iter().zip(&mut previous) {
+                self.put_varint(zigzag(column.wrapping_sub(*last)));
+                *last = column;
+            }
         }
     }
 
@@ -349,6 +430,52 @@ impl<'a> WireReader<'a> {
             out.push(self.get_u64()?);
         }
         Ok(out)
+    }
+
+    /// Reads an unsigned LEB128 varint. More than [`MAX_VARINT_LEN`] bytes,
+    /// a value above `u64::MAX` or a zero-padded (overlong) encoding is
+    /// malformed, so every value has exactly one accepted encoding.
+    pub fn get_varint(&mut self) -> Result<u64, WireError> {
+        let rest = self.buf.get(self.pos..).unwrap_or_default();
+        let mut value = 0u64;
+        for (index, &byte) in rest.iter().take(MAX_VARINT_LEN).enumerate() {
+            let group = u64::from(byte & 0x7F);
+            if index == MAX_VARINT_LEN - 1 && group > 1 {
+                return Err(WireError::Malformed("varint overflows u64"));
+            }
+            value |= group << (7 * index);
+            if byte & 0x80 == 0 {
+                if byte == 0 && index > 0 {
+                    return Err(WireError::Malformed("overlong varint"));
+                }
+                self.pos += index + 1;
+                return Ok(value);
+            }
+        }
+        if rest.len() < MAX_VARINT_LEN {
+            return Err(WireError::UnexpectedEof);
+        }
+        Err(WireError::Malformed("varint longer than 10 bytes"))
+    }
+
+    /// Reads a delta-coded table written by [`WireWriter::put_rows`]. Every
+    /// column takes at least one byte, so a count above `remaining() / N` is
+    /// rejected before anything is allocated.
+    pub fn get_rows<R: Row<N>, const N: usize>(&mut self) -> Result<Vec<R>, WireError> {
+        let count = self.get_varint()?;
+        if count > (self.remaining() / N.max(1)) as u64 {
+            return Err(WireError::Malformed("row count exceeds payload"));
+        }
+        let count = usize::try_from(count).map_err(|_| WireError::LengthOutOfRange(count))?;
+        let mut rows = Vec::with_capacity(count);
+        let mut previous = [0u64; N];
+        for _ in 0..count {
+            for last in &mut previous {
+                *last = last.wrapping_add(unzigzag(self.get_varint()?));
+            }
+            rows.push(R::from_columns(previous)?);
+        }
+        Ok(rows)
     }
 
     /// Reads a nested `Wire` value.

@@ -7,8 +7,7 @@
 //! heap allocations**.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::Cell;
 
 use morpheus_appia::config::{ChannelConfig, LayerSpec};
 use morpheus_appia::event::{Dest, Event, EventSpec};
@@ -25,11 +24,27 @@ use morpheus_appia::Kernel;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. The kernel under test is
+    /// single-threaded, so each test measures its own thread only: the
+    /// harness's other threads (parallel tests, the result printer) used to
+    /// land allocations inside a measured window and fail it spuriously.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while thread-locals are torn down.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -38,27 +53,13 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// The allocation counter is process-global, but the test harness runs the
-/// tests in this binary on parallel threads by default: an allocation made
-/// by a *concurrently running* test used to land inside another test's
-/// measured window and fail it spuriously (the "flaky under load" symptom).
-/// Every test takes this lock around its whole body, so exactly one measured
-/// window exists at a time.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
-
-fn measured() -> MutexGuard<'static, ()> {
-    // A poisoned lock only means another test's assertion failed; the
-    // counter itself is still sound.
-    MEASURE_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A platform that consumes every side effect immediately, so packet bytes
 /// split from the kernel's scratch buffer are dropped and the buffer can be
@@ -177,7 +178,6 @@ fn make_events(count: usize) -> Vec<Event> {
 
 #[test]
 fn steady_state_event_hops_perform_zero_allocations() {
-    let _window = measured();
     let (mut kernel, mut platform, id) = build_kernel();
 
     // Warm-up: populate the route memo, grow the event queue and size the
@@ -192,11 +192,11 @@ fn steady_state_event_hops_perform_zero_allocations() {
     // the allocator.
     let events = make_events(256);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for event in events {
         kernel.dispatch_and_process(id, event, &mut platform);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(
         platform.sent,
@@ -213,7 +213,6 @@ fn steady_state_event_hops_perform_zero_allocations() {
 
 #[test]
 fn batched_dispatch_is_also_allocation_free_after_warmup() {
-    let _window = measured();
     let (mut kernel, mut platform, id) = build_kernel();
 
     // Warm-up includes a batch of the same size so the queue has capacity
@@ -221,9 +220,9 @@ fn batched_dispatch_is_also_allocation_free_after_warmup() {
     kernel.dispatch_batch_and_process(id, make_events(128), &mut platform);
 
     let events = make_events(128);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     kernel.dispatch_batch_and_process(id, events, &mut platform);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(platform.sent, 256);
     assert_eq!(
@@ -236,7 +235,6 @@ fn batched_dispatch_is_also_allocation_free_after_warmup() {
 
 #[test]
 fn upward_delivery_path_is_allocation_free() {
-    let _window = measured();
     let (mut kernel, mut platform, id) = build_kernel();
 
     let make_up_events = |count: usize| -> Vec<Event> {
@@ -257,17 +255,43 @@ fn upward_delivery_path_is_allocation_free() {
     assert_eq!(platform.delivered, 32);
 
     let events = make_up_events(128);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for event in events {
         kernel.dispatch_and_process(id, event, &mut platform);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
 
     assert_eq!(platform.delivered, 32 + 128);
     assert_eq!(
         after - before,
         0,
         "upward delivery allocated {} times",
+        after - before
+    );
+}
+
+#[test]
+fn hostile_delta_tables_are_rejected_without_allocating() {
+    // Row counts: a million rows over two rows' bytes, an 11-byte varint
+    // and a 10-byte varint above u64::MAX, each followed by honest rows.
+    let overstated = [0xC0, 0x84, 0x3D, 2, 2, 2, 2];
+    let mut eleven = [2u8; 15];
+    eleven[..10].fill(0x80);
+    eleven[10] = 0x01;
+    let mut overflowing = [2u8; 14];
+    overflowing[..9].fill(0xFF);
+    let inputs: [&[u8]; 3] = [&overstated, &eleven, &overflowing];
+
+    let before = allocations();
+    for input in inputs {
+        let decoded = morpheus_appia::wire::WireReader::new(input).get_rows::<(NodeId, u64), 2>();
+        assert!(decoded.is_err());
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "rejecting hostile tables allocated {} times",
         after - before
     );
 }

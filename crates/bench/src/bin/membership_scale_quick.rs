@@ -19,6 +19,12 @@
 //! the 250-node case finishes within a generous wall-clock budget (a CI trip
 //! wire for O(n²) regressions).
 //!
+//! Every case also records the control and context bytes one node puts on
+//! the wire per heartbeat interval. Point `BENCH_BEFORE` at a results file
+//! written by an earlier build to carry its figures into the new file as
+//! `before`, next to the fresh ones (they are converted with the current
+//! run's n and interval count, so only cases of the same name compare).
+//!
 //! Run with `cargo run --release -p morpheus-bench --bin
 //! membership_scale_quick [output-path]`.
 
@@ -42,6 +48,8 @@ struct CaseResult {
     context_sent_total: u64,
     /// Per-component bytes-on-wire breakdown across the whole run.
     wire: WireBytes,
+    /// Heartbeat intervals the run lasted.
+    intervals: f64,
     context_converged_ms: Option<u64>,
     reconfigurations: u64,
     rounds: usize,
@@ -70,6 +78,7 @@ fn run_case(name: &str, scenario: &Scenario) -> CaseResult {
         control_sent_total,
         context_sent_total,
         wire: report.wire_bytes_totals(),
+        intervals,
         context_converged_ms: report.context_convergence_ms(),
         reconfigurations: report.total_reconfigurations(),
         rounds: report.completed_rounds().len(),
@@ -79,6 +88,63 @@ fn run_case(name: &str, scenario: &Scenario) -> CaseResult {
         wall_ms,
         events_per_sec: report.events_processed as f64 / (wall_ms / 1000.0).max(1e-9),
     }
+}
+
+impl CaseResult {
+    /// Converts run-total bytes into bytes per node per heartbeat interval.
+    fn per_node_interval(&self, bytes: u64) -> f64 {
+        bytes as f64 / self.n.max(1) as f64 / self.intervals
+    }
+}
+
+/// The `(control, context)` wire-byte totals of every case in an earlier
+/// results file, plus the commit it ran on. Reads the one-line-per-case
+/// layout this binary writes; lines it does not recognise are skipped.
+struct Before {
+    commit: String,
+    cases: Vec<(String, u64, u64)>,
+}
+
+fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let start = line.find(&format!("\"{key}\": "))? + key.len() + 4;
+    let rest = &line[start..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    Some(rest[..end].trim().trim_matches('"'))
+}
+
+fn read_before(path: &str) -> Before {
+    let text = std::fs::read_to_string(path).expect("read BENCH_BEFORE results");
+    let mut before = Before {
+        commit: "unknown".to_string(),
+        cases: Vec::new(),
+    };
+    for line in text.lines() {
+        if let Some(commit) = field(line, "commit") {
+            before.commit = commit.to_string();
+        }
+        let (Some(case), Some(wire)) = (field(line, "case"), line.find("\"wire_bytes\"")) else {
+            continue;
+        };
+        let bytes = |key| field(&line[wire..], key).and_then(|value| value.parse().ok());
+        if let (Some(control), Some(context)) = (bytes("control"), bytes("context")) {
+            before.cases.push((case.to_string(), control, context));
+        }
+    }
+    before
+}
+
+/// The earlier file's control and context bytes per node per interval for
+/// this case, if `BENCH_BEFORE` named a file that has it.
+fn before_of(before: &Option<Before>, result: &CaseResult) -> Option<(f64, f64)> {
+    let (_, control, context) = before
+        .as_ref()?
+        .cases
+        .iter()
+        .find(|(case, _, _)| *case == result.name)?;
+    Some((
+        result.per_node_interval(*control),
+        result.per_node_interval(*context),
+    ))
 }
 
 fn json_option(value: Option<u64>) -> String {
@@ -95,6 +161,9 @@ fn main() {
         .ok()
         .and_then(|raw| raw.parse().ok())
         .unwrap_or(60_000.0);
+    let before = std::env::var("BENCH_BEFORE")
+        .ok()
+        .map(|path| read_before(&path));
 
     eprintln!("membership-scale quick mode (wall budget for n=250: {wall_budget_ms:.0} ms)");
     eprintln!(
@@ -165,6 +234,22 @@ fn main() {
         );
     }
 
+    eprintln!("control / context bytes per node per heartbeat interval (before -> after):");
+    for result in &results {
+        let control = result.per_node_interval(result.wire.control);
+        let context = result.per_node_interval(result.wire.context);
+        match before_of(&before, result) {
+            Some((old_control, old_context)) => eprintln!(
+                "{:>24}  control {old_control:>8.1} -> {control:>8.1}  context {old_context:>8.1} -> {context:>8.1}",
+                result.name
+            ),
+            None => eprintln!(
+                "{:>24}  control {control:>8.1}  context {context:>8.1}",
+                result.name
+            ),
+        }
+    }
+
     let baseline = &results[0];
     let gossip_n100 = results
         .iter()
@@ -201,6 +286,9 @@ fn main() {
         "  \"combined_reduction_n100\": {combined_reduction:.1},\n"
     ));
     json.push_str(&format!("  \"wall_budget_ms\": {wall_budget_ms:.0},\n"));
+    if let Some(before) = &before {
+        json.push_str(&format!("  \"before_commit\": \"{}\",\n", before.commit));
+    }
     json.push_str("  \"results\": [\n");
     for (index, result) in results.iter().enumerate() {
         json.push_str(&format!(
@@ -210,6 +298,8 @@ fn main() {
              \"context_sent_total\": {}, \
              \"wire_bytes\": {{\"data\": {}, \"control\": {}, \"context\": {}, \
              \"repair\": {}, \"overlay\": {}, \"total\": {}}}, \
+             \"control_bytes_per_node_interval\": {:.1}, \
+             \"context_bytes_per_node_interval\": {:.1}, {}\
              \"context_converged_ms\": {}, \
              \"reconfigurations\": {}, \"rounds\": {}, \"messages_lost\": {}, \
              \"app_deliveries\": {}, \"events_processed\": {}, \"wall_ms\": {:.1}, \
@@ -228,6 +318,12 @@ fn main() {
             result.wire.repair,
             result.wire.overlay,
             result.wire.total(),
+            result.per_node_interval(result.wire.control),
+            result.per_node_interval(result.wire.context),
+            before_of(&before, result).map_or(String::new(), |(control, context)| format!(
+                "\"before\": {{\"control_bytes_per_node_interval\": {control:.1}, \
+                 \"context_bytes_per_node_interval\": {context:.1}}}, "
+            )),
             json_option(result.context_converged_ms),
             result.reconfigurations,
             result.rounds,

@@ -89,7 +89,8 @@ internal_event! {
 }
 
 /// Wire body of a [`ContextDigest`]: every store entry as `(node, version)`,
-/// where the version is the snapshot's capture time (monotonic per node).
+/// where the version is the snapshot's capture time (monotonic per node),
+/// sent as a delta-row table (see [`morpheus_appia::wire::Row`]).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DigestBody {
     /// `(node, version)` pairs, in node-id order.
@@ -98,27 +99,13 @@ pub struct DigestBody {
 
 impl Wire for DigestBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.entries.len() as u32);
-        for (node, version) in &self.entries {
-            node.encode(w);
-            w.put_u64(*version);
-        }
+        w.put_rows(&self.entries);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Each entry occupies 12 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 12 {
-            return Err(WireError::Malformed("context digest count exceeds payload"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = NodeId::decode(r)?;
-            let version = r.get_u64()?;
-            entries.push((node, version));
-        }
-        Ok(Self { entries })
+        Ok(Self {
+            entries: r.get_rows()?,
+        })
     }
 }
 
@@ -131,22 +118,13 @@ pub struct PullBody {
 
 impl Wire for PullBody {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.nodes.len() as u32);
-        for node in &self.nodes {
-            node.encode(w);
-        }
+        w.put_rows(&self.nodes);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        if count > r.remaining() / 4 {
-            return Err(WireError::Malformed("context pull count exceeds payload"));
-        }
-        let mut nodes = Vec::with_capacity(count);
-        for _ in 0..count {
-            nodes.push(NodeId::decode(r)?);
-        }
-        Ok(Self { nodes })
+        Ok(Self {
+            nodes: r.get_rows()?,
+        })
     }
 }
 
@@ -1367,13 +1345,32 @@ mod tests {
         };
         assert_eq!(PullBody::from_bytes(&pull.to_bytes()).unwrap(), pull);
 
+        // Counts that overstate the payload are rejected by the check that
+        // runs before the row vector is allocated.
+        let overstated = WireError::Malformed("row count exceeds payload");
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        w.put_u64(1);
-        assert!(DigestBody::from_bytes(&w.finish()).is_err());
+        w.put_varint(u64::from(u32::MAX));
+        w.put_rows(&[(NodeId(1), 1u64)]);
+        assert_eq!(DigestBody::from_bytes(&w.finish()), Err(overstated.clone()));
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        assert!(PullBody::from_bytes(&w.finish()).is_err());
+        w.put_varint(u64::from(u32::MAX));
+        assert_eq!(PullBody::from_bytes(&w.finish()), Err(overstated));
+    }
+
+    #[test]
+    fn a_context_digest_with_millisecond_versions_costs_under_five_bytes_a_row() {
+        // 250 members in node-id order; versions are capture times spread
+        // over the first minute of the run, as a churned group's store holds
+        // them.
+        let entries: Vec<(NodeId, u64)> = (0..250u32)
+            .map(|node| (NodeId(node), u64::from(node) * 7_919 % 60_000))
+            .collect();
+        let bytes = DigestBody { entries }.to_bytes();
+        assert!(
+            bytes.len() <= 250 * 5,
+            "{} bytes for 250 rows is more than 5 B/row",
+            bytes.len()
+        );
     }
     #[test]
     fn expelled_members_get_no_anti_entropy_replies() {

@@ -36,6 +36,12 @@
 //! in-flight adaptation under a fresh epoch. An [`Alive`] notification (a
 //! false suspicion healed) re-admits the member to the quorum.
 //!
+//! A restarted member comes back empty, on the boot stack, and possibly
+//! before anyone suspected it. Until it accepts a command it announces
+//! itself on every installed view with an epoch-0 [`ReconfigAck`] to the
+//! coordinator (no round has epoch 0), which stops counting it as running
+//! the committed stack and repairs it.
+//!
 //! The actual deployment — blocking the data channel, replacing the stack,
 //! resuming the flow — is performed by the local module
 //! ([`crate::node::MorpheusNode`]), because a session cannot mutate the
@@ -103,6 +109,8 @@ pub fn register_core(kernel: &mut Kernel) {
 /// * `round_timeout_ms` — total time budget of one reconfiguration round
 ///   before it is aborted and re-initiated under a fresh epoch
 ///   (default 4000 ms);
+/// * `rejoining` — `true` on a restarted node, which announces its fresh
+///   incarnation to the coordinator (default `false`);
 /// * plus the [`DefaultPolicy`] thresholds (`large_group_threshold`,
 ///   `fec_error_threshold`, `retransmit_error_threshold`, `fec_k`,
 ///   `gossip_fanout`, `gossip_ttl`).
@@ -154,6 +162,7 @@ impl Layer for CoreLayer {
             members,
             data_channel,
             adaptive: param_or(params, "adaptive", true),
+            rejoining: param_or(params, "rejoining", false),
             policy: DefaultPolicy::from_params(params),
             store: ContextStore::new(),
             current_stack: params
@@ -217,6 +226,9 @@ pub struct CoreSession {
     members: Vec<NodeId>,
     data_channel: String,
     adaptive: bool,
+    /// A restarted node: it announces its fresh incarnation on every view
+    /// install until it accepts a command.
+    rejoining: bool,
     policy: DefaultPolicy,
     catalog: StackCatalog,
     store: ContextStore,
@@ -637,6 +649,41 @@ impl CoreSession {
         // rejected, the stack is never rolled back by old commands.
     }
 
+    /// A restarted member announced itself: whatever its previous
+    /// incarnation acknowledged, it now runs its boot stack. Send it the
+    /// round in flight, if any (an ack recorded from the old incarnation
+    /// must not leave it behind), and repair it onto the committed stack.
+    fn on_fresh_incarnation(&mut self, source: NodeId, ctx: &mut EventContext<'_>) {
+        self.confirmed.remove(&source);
+        if self.pending.is_some() {
+            self.send_command(vec![source], ctx);
+        } else if self.adaptive && self.coordinator() == Some(ctx.node_id()) {
+            self.repair_behind(ctx);
+        }
+    }
+
+    /// On a restarted node that has accepted no command yet: tells the
+    /// coordinator of the installed view which stack this incarnation runs,
+    /// under epoch 0. Sent again on every view install, so a lost
+    /// announcement is retried by the next membership change.
+    fn announce_incarnation(&self, ctx: &mut EventContext<'_>) {
+        let local = ctx.node_id();
+        if !self.rejoining || self.accepted.is_some() || self.installed.is_some() {
+            return;
+        }
+        let Some(coordinator) = self.coordinator().filter(|node| *node != local) else {
+            return;
+        };
+        let mut message = Message::new();
+        message.push(&0u64);
+        message.push(&self.current_stack);
+        ctx.dispatch(Event::down(ReconfigAck::new(
+            local,
+            Dest::Node(coordinator),
+            message,
+        )));
+    }
+
     fn record_ack(
         &mut self,
         source: NodeId,
@@ -649,7 +696,9 @@ impl CoreSession {
                 .pending
                 .as_ref()
                 .is_some_and(|pending| pending.stack_name == stack_name);
-        if in_round {
+        if epoch == 0 {
+            self.on_fresh_incarnation(source, ctx);
+        } else if in_round {
             self.engine.record_ack(epoch, source);
             self.maybe_complete(ctx);
         } else if self
@@ -718,6 +767,7 @@ impl Session for CoreSession {
             // (same reason on_suspect re-checks): an expelled member must
             // not stall a round it was the last missing ack of.
             self.maybe_complete(ctx);
+            self.announce_incarnation(ctx);
             ctx.forward(event);
             return;
         }
@@ -1679,5 +1729,81 @@ mod tests {
         // The same hybrid context arrives again: nothing new should happen.
         core.run_up(context_update(1, true), &mut platform);
         assert!(platform.reconfig_requests.is_empty());
+    }
+
+    #[test]
+    fn a_restarted_member_announces_its_fresh_incarnation_on_view_install() {
+        let mut platform = TestPlatform::new(NodeId(2));
+        let mut params = core_params(&[0, 1, 2], true);
+        params.insert("rejoining".into(), "true".into());
+        let mut core = Harness::new(CoreLayer, &params, &mut platform);
+        let install = || {
+            Event::down(ViewInstall {
+                view: morpheus_groupcomm::View::new(3, vec![NodeId(0), NodeId(1), NodeId(2)]),
+            })
+        };
+
+        let mut down = core.run_down(install(), &mut platform);
+        let position = down.iter().position(|event| event.is::<ReconfigAck>());
+        let mut ack = down.swap_remove(position.expect("an announcement goes out"));
+        let ack = ack.get_mut::<ReconfigAck>().unwrap();
+        assert_eq!(ack.header.dest, Dest::Node(NodeId(0)), "to the coordinator");
+        assert_eq!(ack.message.pop::<String>().unwrap(), "best-effort");
+        assert_eq!(ack.message.pop::<u64>().unwrap(), 0, "under epoch 0");
+
+        // Once a command is accepted the incarnation is known: no more.
+        core.run_up(
+            Event::up(ReconfigCommand::new(
+                NodeId(0),
+                Dest::Node(NodeId(2)),
+                command_message(4, "gossip-f3-t3", "<channel/>"),
+            )),
+            &mut platform,
+        );
+        core.drain_down();
+        assert!(core
+            .run_down(install(), &mut platform)
+            .iter()
+            .all(|event| !event.is::<ReconfigAck>()));
+    }
+
+    #[test]
+    fn the_coordinator_repairs_a_fresh_incarnation_it_had_confirmed() {
+        let mut platform = TestPlatform::new(NodeId(0));
+        let mut core = Harness::new(CoreLayer, &core_params(&[0, 1, 2], true), &mut platform);
+        core.run_up(context_update(0, false), &mut platform);
+        core.run_up(context_update(1, true), &mut platform);
+        core.run_up(context_update(2, true), &mut platform);
+        let stack = "hybrid-mecho-relay0";
+        core.run_down(deployment_ack(0, 0, 1, stack), &mut platform);
+        for member in [1, 2] {
+            core.run_up(
+                Event::up(ReconfigAck::new(
+                    NodeId(member),
+                    Dest::Node(NodeId(0)),
+                    ack_message(1, stack),
+                )),
+                &mut platform,
+            );
+        }
+        assert_eq!(completion_reports(&mut platform).len(), 1, "committed");
+        core.drain_down();
+
+        // Node 2 restarted on the boot stack and says so.
+        core.run_up(
+            Event::up(ReconfigAck::new(
+                NodeId(2),
+                Dest::Node(NodeId(0)),
+                ack_message(0, "best-effort"),
+            )),
+            &mut platform,
+        );
+        let down = core.drain_down();
+        let repairs: Vec<&Dest> = down
+            .iter()
+            .filter_map(|event| event.get::<ReconfigCommand>())
+            .map(|command| &command.header.dest)
+            .collect();
+        assert_eq!(repairs, vec![&Dest::Nodes(vec![NodeId(2)])]);
     }
 }

@@ -245,6 +245,7 @@ impl MorpheusNode {
             "gossip_batch_max".to_string(),
             options.gossip_batch_max.to_string(),
         ));
+        core_params.push(("rejoining".to_string(), options.rejoining.to_string()));
         let control_config = catalog.control_config(
             &options.control_channel,
             options.publish_interval_ms,

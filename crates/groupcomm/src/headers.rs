@@ -7,7 +7,7 @@
 
 use morpheus_appia::message::Message;
 use morpheus_appia::platform::NodeId;
-use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
+use morpheus_appia::wire::{column_u32, Row, Wire, WireError, WireReader, WireWriter};
 
 /// How a multicast layer handled (or wants handled) a data message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +135,9 @@ impl Wire for GossipHeader {
 /// messages the digest sender holds in its repair log and can serve on a
 /// NACK pull. `lo`/`hi` are the smallest and largest logged sequence
 /// numbers of that `(origin, inc)` stream (log eviction trims from `lo`
-/// upward, so the span is dense in the common case).
+/// upward, so the span is dense in the common case). On the wire it is the
+/// delta row `(origin, inc, lo, hi - lo)`: the span length, not `hi`, is
+/// what stays small from one stream to the next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RepairRange {
     /// The stream's originating node.
@@ -148,20 +150,22 @@ pub struct RepairRange {
     pub hi: u64,
 }
 
-impl Wire for RepairRange {
-    fn encode(&self, w: &mut WireWriter) {
-        self.origin.encode(w);
-        w.put_u64(self.inc);
-        w.put_u64(self.lo);
-        w.put_u64(self.hi);
+impl Row<4> for RepairRange {
+    fn columns(&self) -> [u64; 4] {
+        [
+            u64::from(self.origin.0),
+            self.inc,
+            self.lo,
+            self.hi.wrapping_sub(self.lo),
+        ]
     }
 
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+    fn from_columns([origin, inc, lo, span]: [u64; 4]) -> Result<Self, WireError> {
         Ok(Self {
-            origin: NodeId::decode(r)?,
-            inc: r.get_u64()?,
-            lo: r.get_u64()?,
-            hi: r.get_u64()?,
+            origin: NodeId(column_u32(origin)?),
+            inc,
+            lo,
+            hi: lo.wrapping_add(span),
         })
     }
 }
@@ -186,26 +190,15 @@ pub struct RepairDigest {
 
 impl Wire for RepairDigest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.credit);
-        w.put_u32(self.entries.len() as u32);
-        for entry in &self.entries {
-            entry.encode(w);
-        }
+        w.put_varint(u64::from(self.credit));
+        w.put_rows(&self.entries);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let credit = r.get_u32()?;
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 28 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 28 {
-            return Err(WireError::Malformed("repair digest count exceeds payload"));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            entries.push(RepairRange::decode(r)?);
-        }
-        Ok(Self { credit, entries })
+        Ok(Self {
+            credit: column_u32(r.get_varint()?)?,
+            entries: r.get_rows()?,
+        })
     }
 }
 
@@ -217,30 +210,27 @@ pub struct RepairPull {
     pub wants: Vec<(NodeId, u64, Vec<u64>)>,
 }
 
+/// Wire layout: the `(origin, inc)` streams as one delta table, then each
+/// stream's sequence numbers as a delta table of its own, in stream order.
 impl Wire for RepairPull {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.wants.len() as u32);
-        for (origin, inc, seqs) in &self.wants {
-            origin.encode(w);
-            w.put_u64(*inc);
-            w.put_u64_list(seqs);
+        let streams: Vec<(NodeId, u64)> = self
+            .wants
+            .iter()
+            .map(|(origin, inc, _)| (*origin, *inc))
+            .collect();
+        w.put_rows(&streams);
+        for (_, _, seqs) in &self.wants {
+            w.put_rows(seqs);
         }
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every entry occupies at least 16 wire bytes (node + inc + an empty
-        // list's length prefix); reject adversarial counts before allocating.
-        if count > r.remaining() / 16 {
-            return Err(WireError::Malformed("repair pull count exceeds payload"));
-        }
-        let mut wants = Vec::with_capacity(count);
-        for _ in 0..count {
-            let origin = NodeId::decode(r)?;
-            let inc = r.get_u64()?;
-            let seqs = r.get_u64_list()?;
-            wants.push((origin, inc, seqs));
-        }
+        let streams: Vec<(NodeId, u64)> = r.get_rows()?;
+        let wants = streams
+            .into_iter()
+            .map(|(origin, inc)| Ok((origin, inc, r.get_rows()?)))
+            .collect::<Result<_, WireError>>()?;
         Ok(Self { wants })
     }
 }
@@ -361,29 +351,13 @@ pub struct LivenessDigest {
 
 impl Wire for LivenessDigest {
     fn encode(&self, w: &mut WireWriter) {
-        w.put_u32(self.entries.len() as u32);
-        for (node, counter) in &self.entries {
-            node.encode(w);
-            w.put_u64(*counter);
-        }
+        w.put_rows(&self.entries);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 12 bytes on the wire; an adversarial count
-        // that overstates the payload is rejected before any allocation.
-        if count > r.remaining() / 12 {
-            return Err(WireError::Malformed(
-                "liveness digest count exceeds payload",
-            ));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let node = NodeId::decode(r)?;
-            let counter = r.get_u64()?;
-            entries.push((node, counter));
-        }
-        Ok(Self { entries })
+        Ok(Self {
+            entries: r.get_rows()?,
+        })
     }
 }
 
@@ -411,29 +385,14 @@ impl Wire for FlushBody {
     fn encode(&self, w: &mut WireWriter) {
         w.put_u64(self.epoch);
         self.proposer.encode(w);
-        w.put_u32(self.flushed.len() as u32);
-        for node in &self.flushed {
-            node.encode(w);
-        }
+        w.put_rows(&self.flushed);
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let epoch = r.get_u64()?;
-        let proposer = NodeId::decode(r)?;
-        let count = r.get_u32()? as usize;
-        // Every entry occupies 4 wire bytes; reject adversarial counts
-        // before allocating.
-        if count > r.remaining() / 4 {
-            return Err(WireError::Malformed("flush body count exceeds payload"));
-        }
-        let mut flushed = Vec::with_capacity(count);
-        for _ in 0..count {
-            flushed.push(NodeId::decode(r)?);
-        }
         Ok(Self {
-            epoch,
-            proposer,
-            flushed,
+            epoch: r.get_u64()?,
+            proposer: NodeId::decode(r)?,
+            flushed: r.get_rows()?,
         })
     }
 }
@@ -656,26 +615,55 @@ mod tests {
         });
     }
 
+    /// The error every delta table raises for a count that overstates its
+    /// payload: the check that runs before the row vector is allocated.
+    const OVERSTATED: WireError = WireError::Malformed("row count exceeds payload");
+
     #[test]
     fn adversarial_liveness_digest_counts_are_rejected() {
+        // A count of u32::MAX rows backed by one honest (node, counter) row.
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        w.put_u64(7);
-        assert!(LivenessDigest::from_bytes(&w.finish()).is_err());
+        w.put_varint(u64::from(u32::MAX));
+        w.put_varint(2);
+        w.put_varint(14);
+        assert_eq!(LivenessDigest::from_bytes(&w.finish()), Err(OVERSTATED));
     }
 
     #[test]
     fn adversarial_repair_counts_are_rejected() {
+        // Digest: honest credit, a span count far beyond one row's bytes.
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        assert!(RepairDigest::from_bytes(&w.finish()).is_err());
+        w.put_varint(64);
+        w.put_varint(u64::from(u32::MAX));
+        w.put_rows(&[RepairRange {
+            origin: NodeId(1),
+            inc: 1,
+            lo: 1,
+            hi: 1,
+        }]);
+        assert_eq!(RepairDigest::from_bytes(&w.finish()), Err(OVERSTATED));
 
+        // Pull: the stream count overstates the payload.
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        NodeId(1).encode(&mut w);
-        assert!(RepairPull::from_bytes(&w.finish()).is_err());
+        w.put_varint(u64::from(u32::MAX));
+        w.put_rows(&[(NodeId(1), 9u64)]);
+        assert_eq!(RepairPull::from_bytes(&w.finish()), Err(OVERSTATED));
+    }
+
+    #[test]
+    fn a_tick_floored_liveness_digest_costs_about_two_bytes_a_row() {
+        // 250 members in node-id order, counters floored at the local tick
+        // count (60 s of 1 s ticks) and lagging it by up to seven gossip
+        // rounds: the digest one failure detector pushes every interval.
+        let entries: Vec<(NodeId, u64)> = (0..250u32)
+            .map(|node| (NodeId(node), 60 - u64::from(node * 7 % 8)))
+            .collect();
+        let bytes = LivenessDigest { entries }.to_bytes();
+        assert!(
+            bytes.len() * 10 <= 250 * 25,
+            "{} bytes for 250 rows is more than 2.5 B/row",
+            bytes.len()
+        );
     }
 
     #[test]
@@ -706,32 +694,31 @@ mod tests {
     fn adversarial_counts_are_rejected_across_all_bodies() {
         // RepairDigest claiming u32::MAX entries backed by one entry's bytes.
         let mut w = WireWriter::new();
-        w.put_u32(u32::MAX);
-        RepairRange {
+        w.put_varint(0);
+        w.put_varint(u64::from(u32::MAX));
+        w.put_rows(&[RepairRange {
             origin: NodeId(1),
             inc: 1,
             lo: 1,
             hi: 1,
-        }
-        .encode(&mut w);
-        assert!(RepairDigest::from_bytes(&w.finish()).is_err());
+        }]);
+        assert_eq!(RepairDigest::from_bytes(&w.finish()), Err(OVERSTATED));
 
         // FlushBody claiming a membership far larger than the payload.
         let mut w = WireWriter::new();
         w.put_u64(3);
         NodeId(2).encode(&mut w);
-        w.put_u32(u32::MAX);
-        NodeId(4).encode(&mut w);
-        assert!(FlushBody::from_bytes(&w.finish()).is_err());
+        w.put_varint(u64::from(u32::MAX));
+        w.put_rows(&[NodeId(4)]);
+        assert_eq!(FlushBody::from_bytes(&w.finish()), Err(OVERSTATED));
 
-        // RepairPull with an honest entry count but an adversarial inner
+        // RepairPull with an honest stream count but an adversarial inner
         // sequence-list count.
         let mut w = WireWriter::new();
-        w.put_u32(1);
-        NodeId(1).encode(&mut w);
-        w.put_u64(9);
-        w.put_u32(u32::MAX);
-        assert!(RepairPull::from_bytes(&w.finish()).is_err());
+        w.put_rows(&[(NodeId(1), 9u64)]);
+        w.put_varint(u64::from(u32::MAX));
+        w.put_varint(2);
+        assert_eq!(RepairPull::from_bytes(&w.finish()), Err(OVERSTATED));
 
         // GossipBatchBody claiming u32::MAX entries backed by one entry.
         let mut w = WireWriter::new();

@@ -82,6 +82,64 @@ fn repair_headers_roundtrip() {
     });
 }
 
+/// The delta-row tables round-trip any rows, not just the sorted ones the
+/// layers emit: unsorted, duplicated, empty and extreme values included.
+#[test]
+fn delta_row_bodies_roundtrip_at_the_extremes() {
+    let max = NodeId(u32::MAX);
+    roundtrip(LivenessDigest::default());
+    roundtrip(LivenessDigest {
+        entries: vec![
+            (max, u64::MAX),
+            (NodeId(0), 0),
+            (max, u64::MAX),
+            (NodeId(3), 1),
+        ],
+    });
+    roundtrip(RepairDigest::default());
+    roundtrip(RepairDigest {
+        credit: u32::MAX,
+        entries: vec![
+            RepairRange {
+                origin: max,
+                inc: u64::MAX,
+                lo: u64::MAX,
+                hi: 0,
+            },
+            RepairRange {
+                origin: NodeId(0),
+                inc: 0,
+                lo: 9,
+                hi: 3,
+            },
+            RepairRange {
+                origin: NodeId(0),
+                inc: 0,
+                lo: 9,
+                hi: 3,
+            },
+        ],
+    });
+    roundtrip(RepairPull::default());
+    roundtrip(RepairPull {
+        wants: vec![
+            (max, u64::MAX, vec![u64::MAX, 0, u64::MAX]),
+            (NodeId(0), 0, vec![]),
+            (NodeId(0), 0, vec![7, 7]),
+        ],
+    });
+    roundtrip(FlushBody {
+        epoch: u64::MAX,
+        proposer: max,
+        flushed: vec![],
+    });
+    roundtrip(FlushBody {
+        epoch: 0,
+        proposer: NodeId(0),
+        flushed: vec![max, NodeId(0), NodeId(0), max],
+    });
+}
+
 #[test]
 fn ordering_and_view_headers_roundtrip() {
     roundtrip(CausalHeader {

@@ -110,6 +110,9 @@ fn decode_rules_fire_in_every_crate() {
 fn prealloc_fixtures() {
     assert_trips("alloc_uncapped.rs", &["alloc:cap"]);
     assert_trips("alloc_capped.rs", &[]);
+    // The same pair for a varint-decoded count (delta-row tables).
+    assert_trips("alloc_varint_uncapped.rs", &["alloc:cap"]);
+    assert_trips("alloc_varint_capped.rs", &[]);
 }
 
 #[test]

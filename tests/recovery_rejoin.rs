@@ -281,3 +281,45 @@ fn recovery_runs_are_deterministic_under_a_fixed_seed() {
     let rejoin_a = first.rejoins();
     assert_eq!(rejoin_a.len(), 1);
 }
+
+/// A round commits the epidemic stack at n = 16; then node 15 crashes and
+/// restarts `down_ms` later, empty and on the boot stack. The coordinator
+/// must stop counting the fresh incarnation as running the committed stack
+/// and repair it, whether or not the failure detector suspected it first.
+fn restart_after_a_committed_round(down_ms: u64) {
+    let restarting = NodeId(15);
+    let mut scenario = Scenario::member_restart(16, 0.0);
+    scenario.failures = vec![(12_000, restarting)];
+    scenario.restarts = vec![(12_000 + down_ms, restarting)];
+    let (report, _) = run_chat(&scenario);
+
+    let committed = report
+        .completed_rounds()
+        .first()
+        .map(|round| round.stack.clone())
+        .expect("the large-group round committed before the crash");
+    assert!(committed.starts_with("gossip"), "committed {committed}");
+    let node = report.node(restarting).unwrap();
+    assert_eq!(node.restarts, 1);
+    assert!(node.rejoin.is_some(), "the restarted node rejoined");
+    for member in &report.nodes {
+        assert_eq!(
+            member.final_stack, committed,
+            "node {} ends on {} instead of the committed stack",
+            member.node, member.final_stack
+        );
+    }
+    assert_eq!(report.messages_lost, 0, "no live-link data loss");
+}
+
+#[test]
+fn a_member_restarted_inside_the_suspicion_timeout_is_repaired_onto_the_committed_stack() {
+    // Down 1.5 s against a 4 s suspicion timeout: never suspected.
+    restart_after_a_committed_round(1_500);
+}
+
+#[test]
+fn a_member_restarted_after_the_suspicion_timeout_is_repaired_onto_the_committed_stack() {
+    // Down 8 s: suspected and expelled before it comes back.
+    restart_after_a_committed_round(8_000);
+}
