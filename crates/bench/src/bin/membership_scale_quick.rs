@@ -22,8 +22,9 @@
 //! Every case also records the control and context bytes one node puts on
 //! the wire per heartbeat interval. Point `BENCH_BEFORE` at a results file
 //! written by an earlier build to carry its figures into the new file as
-//! `before`, next to the fresh ones (they are converted with the current
-//! run's n and interval count, so only cases of the same name compare).
+//! `before`, next to the fresh ones: the bytes (converted with the current
+//! run's n and interval count, so only cases of the same name compare),
+//! the wall time and the simulator throughput in events per second.
 //!
 //! Run with `cargo run --release -p morpheus-bench --bin
 //! membership_scale_quick [output-path]`.
@@ -97,12 +98,22 @@ impl CaseResult {
     }
 }
 
-/// The `(control, context)` wire-byte totals of every case in an earlier
-/// results file, plus the commit it ran on. Reads the one-line-per-case
-/// layout this binary writes; lines it does not recognise are skipped.
+/// One case of an earlier results file.
+struct BeforeCase {
+    name: String,
+    /// Control and context wire-byte totals.
+    control: u64,
+    context: u64,
+    wall_ms: f64,
+    events_per_sec: f64,
+}
+
+/// Every case of an earlier results file, plus the commit it ran on. Reads
+/// the one-line-per-case layout this binary writes; lines it does not
+/// recognise are skipped.
 struct Before {
     commit: String,
-    cases: Vec<(String, u64, u64)>,
+    cases: Vec<BeforeCase>,
 }
 
 fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
@@ -125,26 +136,36 @@ fn read_before(path: &str) -> Before {
         let (Some(case), Some(wire)) = (field(line, "case"), line.find("\"wire_bytes\"")) else {
             continue;
         };
+        // A case's own figures precede any `before` block on its line, so
+        // the first match of each key is the case's.
         let bytes = |key| field(&line[wire..], key).and_then(|value| value.parse().ok());
-        if let (Some(control), Some(context)) = (bytes("control"), bytes("context")) {
-            before.cases.push((case.to_string(), control, context));
+        let number = |key| field(line, key).and_then(|value| value.parse().ok());
+        if let (Some(control), Some(context), Some(wall_ms), Some(events_per_sec)) = (
+            bytes("control"),
+            bytes("context"),
+            number("wall_ms"),
+            number("events_per_sec"),
+        ) {
+            before.cases.push(BeforeCase {
+                name: case.to_string(),
+                control,
+                context,
+                wall_ms,
+                events_per_sec,
+            });
         }
     }
     before
 }
 
-/// The earlier file's control and context bytes per node per interval for
-/// this case, if `BENCH_BEFORE` named a file that has it.
-fn before_of(before: &Option<Before>, result: &CaseResult) -> Option<(f64, f64)> {
-    let (_, control, context) = before
+/// The earlier file's figures for this case, if `BENCH_BEFORE` named a file
+/// that has it.
+fn before_of<'a>(before: &'a Option<Before>, result: &CaseResult) -> Option<&'a BeforeCase> {
+    before
         .as_ref()?
         .cases
         .iter()
-        .find(|(case, _, _)| *case == result.name)?;
-    Some((
-        result.per_node_interval(*control),
-        result.per_node_interval(*context),
-    ))
+        .find(|case| case.name == result.name)
 }
 
 fn json_option(value: Option<u64>) -> String {
@@ -234,18 +255,25 @@ fn main() {
         );
     }
 
-    eprintln!("control / context bytes per node per heartbeat interval (before -> after):");
+    eprintln!(
+        "control / context bytes per node per heartbeat interval and events/s (before -> after):"
+    );
     for result in &results {
         let control = result.per_node_interval(result.wire.control);
         let context = result.per_node_interval(result.wire.context);
         match before_of(&before, result) {
-            Some((old_control, old_context)) => eprintln!(
-                "{:>24}  control {old_control:>8.1} -> {control:>8.1}  context {old_context:>8.1} -> {context:>8.1}",
-                result.name
+            Some(old) => eprintln!(
+                "{:>24}  control {:>8.1} -> {control:>8.1}  context {:>8.1} -> {context:>8.1}  \
+                 events/s {:>8.0} -> {:>8.0}",
+                result.name,
+                result.per_node_interval(old.control),
+                result.per_node_interval(old.context),
+                old.events_per_sec,
+                result.events_per_sec,
             ),
             None => eprintln!(
-                "{:>24}  control {control:>8.1}  context {context:>8.1}",
-                result.name
+                "{:>24}  control {control:>8.1}  context {context:>8.1}  events/s {:>8.0}",
+                result.name, result.events_per_sec,
             ),
         }
     }
@@ -299,11 +327,11 @@ fn main() {
              \"wire_bytes\": {{\"data\": {}, \"control\": {}, \"context\": {}, \
              \"repair\": {}, \"overlay\": {}, \"total\": {}}}, \
              \"control_bytes_per_node_interval\": {:.1}, \
-             \"context_bytes_per_node_interval\": {:.1}, {}\
+             \"context_bytes_per_node_interval\": {:.1}, \
              \"context_converged_ms\": {}, \
              \"reconfigurations\": {}, \"rounds\": {}, \"messages_lost\": {}, \
              \"app_deliveries\": {}, \"events_processed\": {}, \"wall_ms\": {:.1}, \
-             \"events_per_sec\": {:.0}}}{}\n",
+             \"events_per_sec\": {:.0}{}}}{}\n",
             result.name,
             result.n,
             result.control_fanout,
@@ -320,10 +348,6 @@ fn main() {
             result.wire.total(),
             result.per_node_interval(result.wire.control),
             result.per_node_interval(result.wire.context),
-            before_of(&before, result).map_or(String::new(), |(control, context)| format!(
-                "\"before\": {{\"control_bytes_per_node_interval\": {control:.1}, \
-                 \"context_bytes_per_node_interval\": {context:.1}}}, "
-            )),
             json_option(result.context_converged_ms),
             result.reconfigurations,
             result.rounds,
@@ -332,6 +356,15 @@ fn main() {
             result.events_processed,
             result.wall_ms,
             result.events_per_sec,
+            before_of(&before, result).map_or(String::new(), |old| format!(
+                ", \"before\": {{\"control_bytes_per_node_interval\": {:.1}, \
+                 \"context_bytes_per_node_interval\": {:.1}, \"wall_ms\": {:.1}, \
+                 \"events_per_sec\": {:.0}}}",
+                result.per_node_interval(old.control),
+                result.per_node_interval(old.context),
+                old.wall_ms,
+                old.events_per_sec,
+            )),
             if index + 1 == results.len() { "" } else { "," },
         ));
     }

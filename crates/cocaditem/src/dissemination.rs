@@ -27,6 +27,11 @@
 //! Setting `fanout` to `0` restores the legacy flood (full snapshot to every
 //! member on every change, plus the `refresh_every` full republish), which
 //! benchmarks use as the O(n²) baseline.
+//!
+//! The members, the per-member anti-entropy state and the
+//! [`ContextStore`] are all kept in node-id order, so handling a received
+//! digest — whose rows are in node order too — is one forward merge over
+//! them (see [`morpheus_groupcomm::table`]): O(n) per digest, no hashing.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, TimerExpired};
@@ -38,6 +43,8 @@ use morpheus_appia::session::Session;
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
 use morpheus_appia::{internal_event, sendable_event, Kernel};
 use morpheus_groupcomm::events::ViewInstall;
+use morpheus_groupcomm::table::Cursor;
+use morpheus_groupcomm::View;
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -189,7 +196,8 @@ fn register_cocaditem_events(kernel: &mut Kernel) {
 ///
 /// Parameters:
 ///
-/// * `members` — comma-separated initial membership of the control group;
+/// * `members` — comma-separated initial membership of the control group
+///   (kept sorted and de-duplicated, as a [`View`] holds it);
 /// * `publish_interval_ms` — how often the local context is sampled and the
 ///   digest round runs (default 1000 ms);
 /// * `fanout` — random peers each push/digest targets (default 3; `0`
@@ -233,9 +241,9 @@ impl Layer for CocaditemLayer {
     }
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
-        let members = param_node_list(params, "members");
+        let members = View::initial(param_node_list(params, "members")).members;
         Box::new(CocaditemSession {
-            member_set: members.iter().copied().collect(),
+            peers: vec![PeerState::default(); members.len()],
             members,
             publish_interval_ms: param_or(params, "publish_interval_ms", 1000u64).max(10),
             refresh_every: param_or(params, "refresh_every", 10u32).max(1),
@@ -247,8 +255,6 @@ impl Layer for CocaditemLayer {
             ticks_since_publish: 0,
             publications: 0,
             converged_reported: false,
-            recent_pulls: std::collections::HashMap::new(),
-            behind_peers: std::collections::BTreeSet::new(),
         })
     }
 }
@@ -282,14 +288,33 @@ fn changed_significantly(previous: &ContextSnapshot, current: &ContextSnapshot) 
         || previous.get(ContextKey::NativeMulticast) != current.get(ContextKey::NativeMulticast)
 }
 
+/// The anti-entropy state the layer keeps about one member.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeerState {
+    /// Pull budget for the member's snapshot: `(window start ms, pulls
+    /// issued in the window)`. Up to **two** digest senders per publish
+    /// interval may be pulled from for the same missing snapshot — one
+    /// redundant pull halves the tail under heavy control loss (a single
+    /// lost answer no longer costs a whole extra interval), while still
+    /// keeping the boot transient far below the flood it replaces. Cleared
+    /// when the snapshot arrives.
+    pulls: Option<(u64, u32)>,
+    /// Whether the member's most recent digest advertised a staler view of
+    /// the store than ours. Our own digest targets are biased towards such
+    /// peers: a peer that is behind learns what to pull from us one interval
+    /// sooner than uniform random targeting would manage, which shortens the
+    /// last stragglers' convergence tail.
+    behind: bool,
+}
+
 /// Session state of the Cocaditem dissemination layer.
 pub struct CocaditemSession {
+    /// The installed view's members, in node-id order.
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Same membership as `members`, indexed for the per-digest-entry check
-    /// (a `Vec::contains` per entry would make every received digest O(n²)).
-    // bound: mirrors `members` -- rebuilt on view install, <= view size.
-    member_set: std::collections::HashSet<NodeId>,
+    /// Per-member anti-entropy state, index-aligned with `members`.
+    // bound: merged against the membership on view install; == view size.
+    peers: Vec<PeerState>,
     publish_interval_ms: u64,
     refresh_every: u32,
     /// Push/digest fan-out; `0` selects the legacy all-to-all flood.
@@ -302,21 +327,6 @@ pub struct CocaditemSession {
     ticks_since_publish: u32,
     publications: u64,
     converged_reported: bool,
-    /// Pull budget per snapshot: `(window start ms, pulls issued in the
-    /// window)`. Up to **two** digest senders per publish interval may be
-    /// pulled from for the same missing snapshot — one redundant pull
-    /// halves the tail under heavy control loss (a single lost answer no
-    /// longer costs a whole extra interval), while still keeping the boot
-    /// transient far below the flood it replaces.
-    // bound: pruned to live members on view install; a node's entry drops when its snapshot arrives.
-    recent_pulls: std::collections::HashMap<NodeId, (u64, u32)>,
-    /// Peers whose most recent digest advertised a staler view of the store
-    /// than ours. Our own digest targets are biased towards them: a peer
-    /// that is behind learns what to pull from us one interval sooner than
-    /// uniform random targeting would manage, which shortens the last
-    /// stragglers' convergence tail.
-    // bound: <= view size; retained against the membership on view install.
-    behind_peers: std::collections::BTreeSet<NodeId>,
 }
 
 impl std::fmt::Debug for CocaditemSession {
@@ -379,11 +389,16 @@ impl CocaditemSession {
         if self.converged_reported || self.members.is_empty() {
             return;
         }
-        if self
-            .members
-            .iter()
-            .all(|member| self.store.borrow().get(*member).is_some())
-        {
+        // One merge of the members against the store's node-ordered rows.
+        let store = self.store.borrow();
+        let mut cursor = Cursor::default();
+        let covered = self.members.iter().all(|member| {
+            cursor
+                .find(store.versions(), *member, |(node, _)| *node)
+                .is_some()
+        });
+        drop(store);
+        if covered {
             self.converged_reported = true;
             ctx.deliver(DeliveryKind::ContextConverged {
                 nodes: self.members.len(),
@@ -453,9 +468,13 @@ impl CocaditemSession {
     /// first, the rest uniformly random.
     fn gossip_digest(&mut self, ctx: &mut EventContext<'_>) {
         let local = ctx.node_id();
-        self.behind_peers
-            .retain(|peer| *peer != local && self.member_set.contains(peer));
-        let behind: Vec<NodeId> = self.behind_peers.iter().copied().collect();
+        let behind: Vec<NodeId> = self
+            .members
+            .iter()
+            .zip(&self.peers)
+            .filter(|(node, peer)| peer.behind && **node != local)
+            .map(|(node, _)| *node)
+            .collect();
         let mut targets =
             morpheus_groupcomm::gossip::sample_peers(&behind, &[local], self.fanout, ctx);
         if targets.len() < self.fanout {
@@ -516,22 +535,26 @@ impl CocaditemSession {
         // A digest from outside the installed view is ignored wholesale: no
         // pull goes back, and the sender is not tracked as a behind peer —
         // expelled members must stop receiving anti-entropy traffic.
-        if !self.member_set.contains(&from) {
+        let Ok(sender) = self.members.binary_search(&from) else {
             return;
-        }
+        };
         let now = ctx.now_ms();
+        let store = self.store.borrow();
         // Does the sender itself look *behind* (older versions than ours, or
         // snapshots it does not list at all)? If so, bias our next digest
         // rounds towards it so it learns what to pull from us.
-        // Both sides are in node-id order (the store is a BTreeMap; digests
-        // are produced from store.digest()), so one merge scan decides it in
-        // O(n). A malformed unsorted digest only degrades the *bias*, never
-        // correctness.
-        let store = self.store.borrow();
+        // The store, the members and the digest rows (produced from
+        // `ContextStore::digest`) are all in node-id order, so one merge scan
+        // decides it in O(n). A malformed unsorted digest only degrades the
+        // *bias*, never correctness.
         let mut entries = body.entries.iter().peekable();
+        let mut members = Cursor::default();
         let mut sender_behind = false;
-        for (node, snapshot) in store.iter() {
-            if !self.member_set.contains(node) {
+        for (node, stored) in store.versions() {
+            if members
+                .find(&self.members, *node, |member| *member)
+                .is_none()
+            {
                 continue;
             }
             while entries
@@ -539,30 +562,30 @@ impl CocaditemSession {
                 .is_some()
             {}
             match entries.peek() {
-                Some((digest_node, version))
-                    if digest_node == node && *version >= snapshot.captured_at_ms => {}
+                Some((digest_node, version)) if digest_node == node && version >= stored => {}
                 _ => {
                     sender_behind = true;
                     break;
                 }
             }
         }
-        drop(store);
-        if sender_behind {
-            self.behind_peers.insert(from);
-        } else {
-            self.behind_peers.remove(&from);
-        }
+        self.peers[sender].behind = sender_behind;
 
+        // Pull what the sender holds newer: one more forward scan, of the
+        // rows against the members (and their pull budgets) and the store.
         let mut wants: Vec<NodeId> = Vec::new();
+        let (mut members, mut stored) = (Cursor::default(), Cursor::default());
         for (node, version) in &body.entries {
-            if !self.member_set.contains(node) {
+            let Some(at) = members.find(&self.members, *node, |member| *member) else {
+                continue;
+            };
+            let known = stored
+                .find(store.versions(), *node, |(node, _)| *node)
+                .map(|row| store.versions()[row].1);
+            if known >= Some(*version) {
                 continue;
             }
-            if self.store.borrow().version_of(*node) >= Some(*version) {
-                continue;
-            }
-            let window = self.recent_pulls.entry(*node).or_insert((now, 0));
+            let window = self.peers[at].pulls.get_or_insert((now, 0));
             if now.saturating_sub(window.0) >= self.publish_interval_ms {
                 *window = (now, 0);
             }
@@ -571,6 +594,7 @@ impl CocaditemSession {
                 wants.push(*node);
             }
         }
+        drop(store);
         if !wants.is_empty() {
             let mut message = Message::new();
             message.push(&PullBody { nodes: wants });
@@ -587,7 +611,7 @@ impl CocaditemSession {
     fn on_pull(&mut self, body: PullBody, from: NodeId, ctx: &mut EventContext<'_>) {
         // Snapshots are served to current view members only; a removed peer
         // rebuilds its context store through the rejoin state transfer.
-        if !self.member_set.contains(&from) {
+        if self.members.binary_search(&from).is_err() {
             return;
         }
         let store = self.store.borrow();
@@ -617,7 +641,9 @@ impl CocaditemSession {
         for snapshot in body.snapshots {
             let node = snapshot.node;
             if self.store.borrow_mut().update(snapshot.clone()) {
-                self.recent_pulls.remove(&node);
+                if let Ok(at) = self.members.binary_search(&node) {
+                    self.peers[at].pulls = None;
+                }
                 ctx.dispatch(Event::up(ContextUpdated { snapshot }));
             }
         }
@@ -628,6 +654,12 @@ impl CocaditemSession {
 impl Session for CocaditemSession {
     fn layer_name(&self) -> &str {
         COCADITEM_LAYER
+    }
+
+    /// Unit tests read the session's tables back through the downcast hook.
+    #[cfg(test)]
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
     }
 
     fn handle(&mut self, mut event: Event, ctx: &mut EventContext<'_>) {
@@ -654,16 +686,23 @@ impl Session for CocaditemSession {
             return;
         }
         if let Some(install) = event.get::<ViewInstall>() {
-            self.members = install.view.members.clone();
-            self.member_set = self.members.iter().copied().collect();
             // Expelled members must stop occupying the store (their digest
             // entry would otherwise ride every future digest), the pull
-            // rate-limit map or the staleness bias.
-            self.store.borrow_mut().retain_members(&self.members);
-            self.recent_pulls
-                .retain(|node, _| self.member_set.contains(node));
-            self.behind_peers
-                .retain(|node| self.member_set.contains(node));
+            // budgets or the staleness bias: one merge of each node-ordered
+            // table against the view's members. A member that stays keeps
+            // its state; a new one starts without any.
+            let members = install.view.members.clone();
+            let mut cursor = Cursor::default();
+            self.peers = members
+                .iter()
+                .map(|node| {
+                    cursor
+                        .find(&self.members, *node, |member| *member)
+                        .map_or_else(PeerState::default, |at| self.peers[at])
+                })
+                .collect();
+            self.store.borrow_mut().retain_members(&members);
+            self.members = members;
             self.converged_reported = false;
             ctx.forward(event);
             return;
@@ -1437,5 +1476,297 @@ mod tests {
             1,
             "a current member's identical pull is answered"
         );
+    }
+
+    /// The anti-entropy semantics of the store, the pull budgets and the
+    /// staleness bias over plain ordered maps: the reference the
+    /// node-ordered tables are checked against.
+    struct ReferenceAntiEntropy {
+        members: Vec<NodeId>,
+        versions: std::collections::BTreeMap<NodeId, u64>,
+        recent_pulls: std::collections::BTreeMap<NodeId, (u64, u32)>,
+        behind: std::collections::BTreeSet<NodeId>,
+        converged_reported: bool,
+        interval: u64,
+    }
+
+    impl ReferenceAntiEntropy {
+        /// Stores a snapshot version; returns whether it was news.
+        fn update(&mut self, node: NodeId, version: u64) -> bool {
+            match self.versions.get(&node) {
+                Some(known) if *known > version => false,
+                Some(known) if *known == version => false,
+                _ => {
+                    self.versions.insert(node, version);
+                    true
+                }
+            }
+        }
+
+        /// Whether this check reports convergence.
+        fn converges(&mut self) -> bool {
+            if self.converged_reported || self.members.is_empty() {
+                return false;
+            }
+            self.converged_reported = self
+                .members
+                .iter()
+                .all(|member| self.versions.contains_key(member));
+            self.converged_reported
+        }
+
+        /// The pull a digest triggers, if any.
+        fn digest(
+            &mut self,
+            from: NodeId,
+            rows: &[(NodeId, u64)],
+            now: u64,
+        ) -> Option<Vec<NodeId>> {
+            if !self.members.contains(&from) {
+                return None;
+            }
+            let mut entries = rows.iter().peekable();
+            let mut sender_behind = false;
+            for (node, version) in &self.versions {
+                if !self.members.contains(node) {
+                    continue;
+                }
+                while entries.next_if(|(row, _)| row < node).is_some() {}
+                match entries.peek() {
+                    Some((row, advertised)) if row == node && advertised >= version => {}
+                    _ => {
+                        sender_behind = true;
+                        break;
+                    }
+                }
+            }
+            if sender_behind {
+                self.behind.insert(from);
+            } else {
+                self.behind.remove(&from);
+            }
+            let mut wants = Vec::new();
+            for (node, version) in rows {
+                if !self.members.contains(node)
+                    || self.versions.get(node).copied() >= Some(*version)
+                {
+                    continue;
+                }
+                let window = self.recent_pulls.entry(*node).or_insert((now, 0));
+                if now.saturating_sub(window.0) >= self.interval {
+                    *window = (now, 0);
+                }
+                if window.1 < 2 {
+                    window.1 += 1;
+                    wants.push(*node);
+                }
+            }
+            (!wants.is_empty()).then_some(wants)
+        }
+
+        fn install(&mut self, members: &[NodeId]) {
+            self.members = members.to_vec();
+            self.versions.retain(|node, _| members.contains(node));
+            self.recent_pulls.retain(|node, _| members.contains(node));
+            self.behind.retain(|node| members.contains(node));
+            self.converged_reported = false;
+        }
+    }
+
+    /// The session's node-ordered state, read back in the model's shape:
+    /// `(store versions, pull budgets, behind peers)`.
+    #[allow(clippy::type_complexity)]
+    fn session_state(
+        harness: &mut Harness,
+    ) -> (Vec<(NodeId, u64)>, Vec<(NodeId, (u64, u32))>, Vec<NodeId>) {
+        let channel = harness.channel();
+        let session = harness
+            .kernel_mut()
+            .channel(channel)
+            .and_then(|channel| channel.session_of(COCADITEM_LAYER))
+            .expect("cocaditem session");
+        let session = session.borrow();
+        let session = session
+            .as_any()
+            .and_then(|any| any.downcast_ref::<CocaditemSession>())
+            .expect("cocaditem sessions expose themselves");
+        let versions = session.store.borrow().digest();
+        let members = session.members.iter().zip(&session.peers);
+        (
+            versions,
+            members
+                .clone()
+                .filter_map(|(node, peer)| peer.pulls.map(|window| (*node, window)))
+                .collect(),
+            members
+                .filter(|(_, peer)| peer.behind)
+                .map(|(node, _)| *node)
+                .collect(),
+        )
+    }
+
+    fn random_members(rng: &mut morpheus_netsim::SimRng, universe: u32) -> Vec<NodeId> {
+        (0..universe)
+            .filter(|_| rng.chance(0.7))
+            .map(NodeId)
+            .collect()
+    }
+
+    #[test]
+    fn node_ordered_tables_match_the_reference_model_on_random_histories() {
+        const UNIVERSE: u32 = 12;
+        let interval = 1000;
+        for seed in 0..48u64 {
+            let mut rng = morpheus_netsim::SimRng::new(seed);
+            let local = NodeId(rng.random_below(u64::from(UNIVERSE)) as u32);
+            let mut platform = TestPlatform::new(local);
+            let members = random_members(&mut rng, UNIVERSE);
+            let ids: Vec<u32> = members.iter().map(|node| node.0).collect();
+            let mut cocaditem = Harness::new(
+                CocaditemLayer::default(),
+                &params(&ids, interval),
+                &mut platform,
+            );
+            // The forced publication at channel init stored the local
+            // snapshot (and may already have covered a one-member view).
+            let mut model = ReferenceAntiEntropy {
+                members,
+                versions: [(local, 0)].into_iter().collect(),
+                recent_pulls: Default::default(),
+                behind: Default::default(),
+                converged_reported: false,
+                interval,
+            };
+            model.converges();
+            platform.take_deliveries();
+
+            for step in 0..300u64 {
+                let context = format!("seed {seed} step {step}");
+                let random_node = |rng: &mut morpheus_netsim::SimRng| {
+                    NodeId(rng.random_below(u64::from(UNIVERSE) + 2) as u32)
+                };
+                let mut converged = false;
+                match rng.random_below(10) {
+                    // A digest from a member or an outsider: rows unsorted or
+                    // in node order, with duplicates, non-member rows and
+                    // version 0.
+                    0..=3 => {
+                        let from = random_node(&mut rng);
+                        let mut rows: Vec<(NodeId, u64)> = (0..rng
+                            .random_below(2 * u64::from(UNIVERSE)))
+                            .map(|_| (random_node(&mut rng), rng.random_below(6) * 10))
+                            .collect();
+                        if rng.chance(0.5) {
+                            rows.sort_unstable();
+                        }
+                        let expected = model.digest(from, &rows, platform.now_ms);
+                        let mut message = Message::new();
+                        message.push(&DigestBody {
+                            entries: rows.clone(),
+                        });
+                        cocaditem.run_up(
+                            Event::up(ContextDigest::new(from, Dest::Node(local), message)),
+                            &mut platform,
+                        );
+                        let got: Vec<Vec<NodeId>> = cocaditem
+                            .drain_down()
+                            .iter()
+                            .filter_map(|event| event.get::<ContextPull>())
+                            .map(|pull| {
+                                assert_eq!(pull.header.dest, Dest::Node(from));
+                                pull.message.clone().pop::<PullBody>().unwrap().nodes
+                            })
+                            .collect();
+                        assert_eq!(
+                            got,
+                            Vec::from_iter(expected),
+                            "{context}: digest {rows:?} from {from:?}"
+                        );
+                    }
+                    // A publication (no forwarding) or a batched answer.
+                    4..=6 => {
+                        let snapshots: Vec<ContextSnapshot> = (0..1 + rng.random_below(4))
+                            .map(|_| {
+                                ContextSnapshot::new(
+                                    random_node(&mut rng),
+                                    rng.random_below(6) * 10,
+                                )
+                            })
+                            .collect();
+                        let mut message = Message::new();
+                        if rng.chance(0.5) {
+                            let snapshot = &snapshots[0];
+                            if model.update(snapshot.node, snapshot.captured_at_ms) {
+                                converged = model.converges();
+                            }
+                            message.push(snapshot);
+                            message.push(&0u32);
+                            cocaditem.run_up(
+                                Event::up(ContextPublish::new(
+                                    snapshot.node,
+                                    Dest::Node(local),
+                                    message,
+                                )),
+                                &mut platform,
+                            );
+                        } else {
+                            for snapshot in &snapshots {
+                                if model.update(snapshot.node, snapshot.captured_at_ms) {
+                                    model.recent_pulls.remove(&snapshot.node);
+                                }
+                            }
+                            converged = model.converges();
+                            message.push(&BatchBody { snapshots });
+                            cocaditem.run_up(
+                                Event::up(ContextBatch::new(
+                                    NodeId(UNIVERSE),
+                                    Dest::Node(local),
+                                    message,
+                                )),
+                                &mut platform,
+                            );
+                        }
+                        cocaditem.drain_down();
+                    }
+                    // A view install that drops and re-admits members.
+                    7 => {
+                        let view =
+                            morpheus_groupcomm::View::new(step, random_members(&mut rng, UNIVERSE));
+                        model.install(&view.members);
+                        cocaditem.run_down(Event::down(ViewInstall { view }), &mut platform);
+                    }
+                    // Time passes (pull budgets reset after an interval).
+                    _ => platform.advance(rng.random_below(interval)),
+                }
+                let reported = platform
+                    .take_deliveries()
+                    .iter()
+                    .filter(|delivery| {
+                        matches!(delivery.kind, DeliveryKind::ContextConverged { .. })
+                    })
+                    .count();
+                assert_eq!(
+                    reported,
+                    usize::from(converged),
+                    "{context}: convergence report"
+                );
+                let (versions, pulls, behind) = session_state(&mut cocaditem);
+                assert_eq!(
+                    versions,
+                    Vec::from_iter(model.versions.clone()),
+                    "{context}: store"
+                );
+                assert_eq!(
+                    pulls,
+                    Vec::from_iter(model.recent_pulls.clone()),
+                    "{context}: pull budgets"
+                );
+                assert_eq!(
+                    behind,
+                    Vec::from_iter(model.behind.clone()),
+                    "{context}: behind peers"
+                );
+            }
+        }
     }
 }

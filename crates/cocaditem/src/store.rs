@@ -2,19 +2,28 @@
 //! participant.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use morpheus_appia::platform::{DeviceClass, NodeId};
 use morpheus_appia::wire::{Wire, WireError, WireReader, WireWriter};
 use morpheus_groupcomm::recovery::StateSection;
+use morpheus_groupcomm::table::Cursor;
 
 use crate::context::ContextSnapshot;
 
 /// A table of the most recent context snapshot received from each node.
+///
+/// The table is kept in node-id order as two index-aligned columns: the
+/// `(node, version)` rows the digest anti-entropy protocol compares, stored
+/// contiguously, and the snapshots themselves. Building a digest is a copy
+/// of the first column, and comparing a received digest against the store
+/// is one forward merge over it.
 #[derive(Debug, Clone, Default)]
 pub struct ContextStore {
-    snapshots: BTreeMap<NodeId, ContextSnapshot>,
+    /// `(node, captured_at_ms)` of every stored snapshot, in node-id order.
+    versions: Vec<(NodeId, u64)>,
+    /// The snapshots, index-aligned with `versions`.
+    snapshots: Vec<ContextSnapshot>,
 }
 
 impl ContextStore {
@@ -23,23 +32,34 @@ impl ContextStore {
         Self::default()
     }
 
+    fn position(&self, node: NodeId) -> Result<usize, usize> {
+        self.versions.binary_search_by_key(&node, |(node, _)| *node)
+    }
+
     /// Inserts or refreshes a node's snapshot. Older snapshots (by capture
     /// time) never overwrite newer ones. Returns whether the snapshot was
     /// stored — i.e. whether it was *news* (a node not seen before, or a
     /// strictly newer capture), which is what decides whether an epidemic
     /// forwarder should keep spreading it.
     pub fn update(&mut self, snapshot: ContextSnapshot) -> bool {
-        match self.snapshots.get(&snapshot.node) {
-            Some(existing) if existing.captured_at_ms > snapshot.captured_at_ms => false,
-            Some(existing) if existing.captured_at_ms == snapshot.captured_at_ms => {
+        match self.position(snapshot.node) {
+            Ok(at) => {
+                let version = self.versions[at].1;
+                if version > snapshot.captured_at_ms {
+                    return false;
+                }
                 // Same version: last writer wins (a local re-sample within
                 // one millisecond must not be ignored), but it is not news —
                 // an epidemic forwarder receiving it must not spread it again.
-                self.snapshots.insert(snapshot.node, snapshot);
-                false
+                let news = version < snapshot.captured_at_ms;
+                self.versions[at].1 = snapshot.captured_at_ms;
+                self.snapshots[at] = snapshot;
+                news
             }
-            _ => {
-                self.snapshots.insert(snapshot.node, snapshot);
+            Err(at) => {
+                self.versions
+                    .insert(at, (snapshot.node, snapshot.captured_at_ms));
+                self.snapshots.insert(at, snapshot);
                 true
             }
         }
@@ -48,59 +68,80 @@ impl ContextStore {
     /// The capture time of a node's stored snapshot — the version the digest
     /// anti-entropy protocol compares (capture times are monotonic per node).
     pub fn version_of(&self, node: NodeId) -> Option<u64> {
-        self.snapshots
-            .get(&node)
-            .map(|snapshot| snapshot.captured_at_ms)
+        self.position(node).ok().map(|at| self.versions[at].1)
+    }
+
+    /// The `(node, version)` rows of the whole store, in node-id order.
+    pub(crate) fn versions(&self) -> &[(NodeId, u64)] {
+        &self.versions
     }
 
     /// The `(node, version)` digest of the whole store, in node-id order.
     pub fn digest(&self) -> Vec<(NodeId, u64)> {
-        self.snapshots
-            .iter()
-            .map(|(node, snapshot)| (*node, snapshot.captured_at_ms))
-            .collect()
+        self.versions.clone()
     }
 
-    /// Drops every node not in `members` (e.g. after a view change).
+    /// Keeps the snapshots `keep` accepts, in one pass over both columns.
+    fn retain(&mut self, mut keep: impl FnMut(NodeId, &ContextSnapshot) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.versions.len() {
+            if keep(self.versions[at].0, &self.snapshots[at]) {
+                self.versions.swap(kept, at);
+                self.snapshots.swap(kept, at);
+                kept += 1;
+            }
+        }
+        self.versions.truncate(kept);
+        self.snapshots.truncate(kept);
+    }
+
+    /// Drops every node not in `members` (e.g. after a view change). The
+    /// members must be in node-id order, as a view holds them: the store is
+    /// merged against them in one pass.
     pub fn retain_members(&mut self, members: &[NodeId]) {
-        self.snapshots.retain(|node, _| members.contains(node));
+        let mut cursor = Cursor::default();
+        self.retain(|node, _| cursor.find(members, node, |member| *member).is_some());
     }
 
     /// Removes nodes that have not published for `max_age_ms` relative to `now_ms`.
     pub fn evict_stale(&mut self, now_ms: u64, max_age_ms: u64) {
-        self.snapshots
-            .retain(|_, snapshot| now_ms.saturating_sub(snapshot.captured_at_ms) <= max_age_ms);
+        self.retain(|_, snapshot| now_ms.saturating_sub(snapshot.captured_at_ms) <= max_age_ms);
     }
 
     /// Removes a node explicitly (e.g. when it leaves the view).
     pub fn remove(&mut self, node: NodeId) {
-        self.snapshots.remove(&node);
+        if let Ok(at) = self.position(node) {
+            self.versions.remove(at);
+            self.snapshots.remove(at);
+        }
     }
 
     /// The snapshot of one node, if known.
     pub fn get(&self, node: NodeId) -> Option<&ContextSnapshot> {
-        self.snapshots.get(&node)
+        self.position(node).ok().map(|at| &self.snapshots[at])
     }
 
     /// Every known snapshot, in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (&NodeId, &ContextSnapshot)> {
-        self.snapshots.iter()
+        self.versions
+            .iter()
+            .map(|(node, _)| node)
+            .zip(&self.snapshots)
     }
 
     /// Number of nodes with a known snapshot.
     pub fn len(&self) -> usize {
-        self.snapshots.len()
+        self.versions.len()
     }
 
     /// Whether no snapshots are known.
     pub fn is_empty(&self) -> bool {
-        self.snapshots.is_empty()
+        self.versions.is_empty()
     }
 
     /// Nodes whose last snapshot reports a mobile device class.
     pub fn mobile_nodes(&self) -> Vec<NodeId> {
-        self.snapshots
-            .iter()
+        self.iter()
             .filter(|(_, snapshot)| snapshot.is_mobile() == Some(true))
             .map(|(node, _)| *node)
             .collect()
@@ -108,8 +149,7 @@ impl ContextStore {
 
     /// Nodes whose last snapshot reports a fixed device class.
     pub fn fixed_nodes(&self) -> Vec<NodeId> {
-        self.snapshots
-            .iter()
+        self.iter()
             .filter(|(_, snapshot)| snapshot.is_mobile() == Some(false))
             .map(|(node, _)| *node)
             .collect()
@@ -124,7 +164,7 @@ impl ContextStore {
     /// The highest error rate reported by any participant.
     pub fn max_error_rate(&self) -> f64 {
         self.snapshots
-            .values()
+            .iter()
             .filter_map(ContextSnapshot::error_rate)
             .fold(0.0, f64::max)
     }
@@ -132,7 +172,7 @@ impl ContextStore {
     /// The lowest battery level reported by any participant.
     pub fn min_battery_level(&self) -> f64 {
         self.snapshots
-            .values()
+            .iter()
             .filter_map(ContextSnapshot::battery_level)
             .fold(1.0, f64::min)
     }
@@ -141,8 +181,7 @@ impl ContextStore {
     /// class first, then highest resource score, then lowest node id as a
     /// deterministic tie-breaker.
     pub fn best_relay(&self) -> Option<NodeId> {
-        self.snapshots
-            .iter()
+        self.iter()
             .filter_map(|(node, snapshot)| snapshot.device_class().map(|class| (*node, class)))
             .filter(|(_, class)| class.is_fixed())
             .min_by_key(|(node, class)| (std::cmp::Reverse(class.resource_score()), node.0))
@@ -152,8 +191,7 @@ impl ContextStore {
     /// The node with the most remaining battery (used when every participant
     /// is mobile and one of them must carry extra load).
     pub fn best_battery_node(&self) -> Option<NodeId> {
-        self.snapshots
-            .iter()
+        self.iter()
             .filter_map(|(node, snapshot)| snapshot.battery_level().map(|level| (*node, level)))
             .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
             .map(|(node, _)| node)
@@ -168,7 +206,7 @@ impl ContextStore {
     pub fn export_bytes(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.put_u32(self.snapshots.len() as u32);
-        for snapshot in self.snapshots.values() {
+        for snapshot in &self.snapshots {
             snapshot.encode(&mut w);
         }
         w.finish().to_vec()

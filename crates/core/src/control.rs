@@ -756,9 +756,13 @@ impl Session for CoreSession {
             // stop being considered for quorums, coordinator election and
             // generated stack configurations entirely (unlike a suspicion,
             // which is provisional and healable).
+            // A view holds its members in node-id order, so each retain
+            // below is a search or merge against them, not a scan per entry.
             self.members = install.view.members.clone();
-            self.suspected.retain(|node| self.members.contains(node));
-            self.confirmed.retain(|node| self.members.contains(node));
+            self.suspected
+                .retain(|node| self.members.binary_search(node).is_ok());
+            self.confirmed
+                .retain(|node| self.members.binary_search(node).is_ok());
             self.store.retain_members(&self.members);
             // Refreeze the in-flight round's ack threshold over the new
             // membership: expelled members stop being awaited.

@@ -18,8 +18,16 @@
 //!
 //! Setting `fanout` to `0` restores the legacy all-to-all heartbeat multicast
 //! (used by benchmarks as the O(n²) baseline).
-
-use std::collections::{HashMap, HashSet};
+//!
+//! All per-node state lives in one table of slots kept in node-id order
+//! (see [`crate::table`]). A received digest — its rows are in node order —
+//! is merged in one forward scan over that table, and each tick builds the
+//! outgoing digest and raises suspicions in one walk over it: O(n) per
+//! digest, with no hashing. Besides one slot per view member, the table
+//! holds a slot for every non-member the layer heard from directly (a data
+//! or heartbeat sender outside the view) until the next view install drops
+//! it — or keeps it, with its last-heard time, when that view admits the
+//! node.
 
 use morpheus_appia::event::{Dest, Direction, Event, EventSpec};
 use morpheus_appia::events::{ChannelInit, DataEvent, TimerExpired};
@@ -31,6 +39,8 @@ use morpheus_appia::session::Session;
 
 use crate::events::{Alive, Heartbeat, Suspect, ViewInstall};
 use crate::headers::LivenessDigest;
+use crate::table::Cursor;
+use crate::view::View;
 
 /// Registered name of the failure detector layer.
 pub const FD_LAYER: &str = "fd";
@@ -42,7 +52,8 @@ const TICK_TAG: u32 = 1;
 ///
 /// Parameters:
 ///
-/// * `members` — comma-separated initial group membership;
+/// * `members` — comma-separated initial group membership (kept sorted and
+///   de-duplicated, as a [`View`] holds it);
 /// * `hb_interval_ms` — gossip period (default 500 ms);
 /// * `suspect_timeout_ms` — digest-age threshold before suspicion
 ///   (default 2000 ms);
@@ -70,68 +81,111 @@ impl Layer for FailureDetectorLayer {
     }
 
     fn create_session(&self, params: &LayerParams) -> Box<dyn Session> {
-        let members = param_node_list(params, "members");
+        let members = View::initial(param_node_list(params, "members")).members;
         Box::new(FailureDetectorSession {
-            member_set: members.iter().copied().collect(),
+            slots: members
+                .iter()
+                .map(|node| Slot::member(*node, None))
+                .collect(),
             members,
             hb_interval_ms: param_or(params, "hb_interval_ms", 500u64).max(10),
             suspect_timeout_ms: param_or(params, "suspect_timeout_ms", 2000u64).max(50),
             fanout: param_or(params, "fanout", 3usize),
-            counters: HashMap::new(),
-            last_advance: HashMap::new(),
-            suspected: HashSet::new(),
-            heartbeats_sent: 0,
         })
+    }
+}
+
+/// What the failure detector knows about one node.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    node: NodeId,
+    /// Highest known heartbeat counter; set by a digest row (members only)
+    /// or, for the local node, by a tick.
+    counter: Option<u64>,
+    /// Local time at which the counter last advanced or the node was last
+    /// heard from directly.
+    heard_ms: Option<u64>,
+    /// Whether a [`Suspect`] is outstanding (members only).
+    suspected: bool,
+    /// Whether the node is in the installed view.
+    member: bool,
+}
+
+impl Slot {
+    fn member(node: NodeId, heard_ms: Option<u64>) -> Self {
+        Self {
+            node,
+            counter: None,
+            heard_ms,
+            suspected: false,
+            member: true,
+        }
     }
 }
 
 /// Session state of the failure detector.
 #[derive(Debug)]
 pub struct FailureDetectorSession {
+    /// The installed view's members, in node-id order (the peer-sampling
+    /// pool).
     // bound: replaced wholesale on every view install; <= view size.
     members: Vec<NodeId>,
-    /// Same membership as `members`, indexed for the per-digest-entry check
-    /// (a `Vec::contains` per entry would make every received digest O(n²)).
-    // bound: mirrors `members` -- rebuilt on view install, <= view size.
-    member_set: HashSet<NodeId>,
+    /// One slot per member plus one per non-member heard from directly, in
+    /// node-id order.
+    // bound: view size + non-members heard since the last view install (a view install drops non-member slots).
+    slots: Vec<Slot>,
     hb_interval_ms: u64,
     suspect_timeout_ms: u64,
     /// Digest push fan-out; `0` selects the legacy all-to-all heartbeat.
     fanout: usize,
-    /// Highest known heartbeat counter per member (the local node's own
-    /// entry is advanced on every tick).
-    // bound: retained against the membership on every view install.
-    counters: HashMap<NodeId, u64>,
-    /// Local time at which each member's counter last advanced (or the
-    /// member was last heard from directly).
-    // bound: retained against the membership on every view install.
-    last_advance: HashMap<NodeId, u64>,
-    // bound: subset of `members`; retained on view install.
-    suspected: HashSet<NodeId>,
-    heartbeats_sent: u64,
 }
 
 impl FailureDetectorSession {
-    fn heard_from(&mut self, node: NodeId, now: u64, ctx: &mut EventContext<'_>) {
-        self.last_advance.insert(node, now);
-        if self.suspected.remove(&node) {
+    /// The index of `node`'s slot, inserting a non-member slot if it has
+    /// none.
+    fn slot_of(&mut self, node: NodeId) -> usize {
+        let found = self.slots.binary_search_by_key(&node, |slot| slot.node);
+        found.unwrap_or_else(|at| {
+            self.slots.insert(
+                at,
+                Slot {
+                    member: false,
+                    ..Slot::member(node, None)
+                },
+            );
+            at
+        })
+    }
+
+    fn heard_from(&mut self, at: usize, now: u64, ctx: &mut EventContext<'_>) {
+        let slot = &mut self.slots[at];
+        slot.heard_ms = Some(now);
+        if slot.suspected {
+            slot.suspected = false;
             // The suspicion was false: announce the recovery so upper layers
             // (e.g. the Core control layer's ack quorum) can re-admit the node.
-            ctx.dispatch(Event::up(Alive { node }));
+            ctx.dispatch(Event::up(Alive { node: slot.node }));
         }
     }
 
-    /// Merges a received digest: entries with a higher counter than the local
-    /// view count as fresh liveness evidence for that member.
+    /// Merges a received digest in one forward scan: a member's row with a
+    /// higher counter than the local view counts as fresh liveness evidence
+    /// for that member. Rows for non-members are ignored; a row out of node
+    /// order re-seeks, so any row order merges the same way.
     fn merge_digest(&mut self, digest: &LivenessDigest, now: u64, ctx: &mut EventContext<'_>) {
+        let mut cursor = Cursor::default();
         for (node, counter) in &digest.entries {
-            if !self.member_set.contains(node) {
+            let Some(at) = cursor.find(&self.slots, *node, |slot| slot.node) else {
+                continue;
+            };
+            let slot = &mut self.slots[at];
+            if !slot.member {
                 continue;
             }
-            let known = self.counters.entry(*node).or_insert(0);
+            let known = slot.counter.get_or_insert(0);
             if *counter > *known {
                 *known = *counter;
-                self.heard_from(*node, now, ctx);
+                self.heard_from(at, now, ctx);
             }
         }
     }
@@ -148,9 +202,10 @@ impl FailureDetectorSession {
         // counter, and the node would silently lose its third-party liveness
         // evidence until the counter caught up.
         let tick_floor = now / self.hb_interval_ms;
-        let counter = self.counters.entry(local).or_insert(0);
-        *counter = (*counter + 1).max(tick_floor);
-        self.last_advance.insert(local, now);
+        let at = self.slot_of(local);
+        let slot = &mut self.slots[at];
+        slot.counter = Some((slot.counter.unwrap_or(0) + 1).max(tick_floor));
+        slot.heard_ms = Some(now);
         let targets = if self.fanout == 0 {
             self.members
                 .iter()
@@ -160,44 +215,62 @@ impl FailureDetectorSession {
         } else {
             crate::gossip::sample_peers(&self.members, &[local], self.fanout, ctx)
         };
+
+        // One walk over the table builds the digest (members with a known
+        // counter, in node order) and raises suspicions for members whose
+        // counter went stale.
+        let send_digest = self.fanout != 0 && !targets.is_empty();
+        let mut entries = Vec::with_capacity(if send_digest { self.members.len() } else { 0 });
+        let mut newly_suspected = Vec::new();
+        for slot in self.slots.iter_mut().filter(|slot| slot.member) {
+            if let (true, Some(counter)) = (send_digest, slot.counter) {
+                entries.push((slot.node, counter));
+            }
+            if slot.node != local
+                && !slot.suspected
+                && now.saturating_sub(slot.heard_ms.unwrap_or(0)) >= self.suspect_timeout_ms
+            {
+                slot.suspected = true;
+                newly_suspected.push(slot.node);
+            }
+        }
+
         if !targets.is_empty() {
             let mut message = Message::new();
-            if self.fanout != 0 {
-                let mut entries: Vec<(NodeId, u64)> = self
-                    .members
-                    .iter()
-                    .filter_map(|member| {
-                        self.counters.get(member).map(|counter| (*member, *counter))
-                    })
-                    .collect();
-                entries.sort_unstable_by_key(|(node, _)| node.0);
+            if send_digest {
                 message.push(&LivenessDigest { entries });
             }
-            self.heartbeats_sent += 1;
             ctx.dispatch(Event::down(Heartbeat::new(
                 local,
                 Dest::Nodes(targets),
                 message,
             )));
         }
-
-        // Raise suspicions for members whose counter went stale.
-        let mut newly_suspected = Vec::new();
-        for member in &self.members {
-            if *member == local || self.suspected.contains(member) {
-                continue;
-            }
-            let last = self.last_advance.get(member).copied().unwrap_or(0);
-            if now.saturating_sub(last) >= self.suspect_timeout_ms {
-                newly_suspected.push(*member);
-            }
-        }
-        for member in newly_suspected {
-            self.suspected.insert(member);
-            ctx.dispatch(Event::up(Suspect { node: member }));
+        for node in newly_suspected {
+            ctx.dispatch(Event::up(Suspect { node }));
         }
 
         ctx.set_timer(self.hb_interval_ms, TICK_TAG);
+    }
+
+    /// Installs a view in one merge of the table against its (node-ordered)
+    /// members: slots of nodes outside the view are dropped, a member keeps
+    /// its slot (a non-member's last-heard time carries into its admission)
+    /// and a member without one gets a fresh grace period from `now`.
+    fn install(&mut self, members: &[NodeId], now: u64) {
+        let mut cursor = Cursor::default();
+        self.slots = members
+            .iter()
+            .map(|node| {
+                let kept = cursor.find(&self.slots, *node, |slot| slot.node);
+                kept.map_or(Slot::member(*node, Some(now)), |at| Slot {
+                    member: true,
+                    heard_ms: self.slots[at].heard_ms.or(Some(now)),
+                    ..self.slots[at]
+                })
+            })
+            .collect();
+        self.members = members.to_vec();
     }
 }
 
@@ -209,8 +282,8 @@ impl Session for FailureDetectorSession {
     fn handle(&mut self, mut event: Event, ctx: &mut EventContext<'_>) {
         if event.is::<ChannelInit>() {
             let now = ctx.now_ms();
-            for member in self.members.clone() {
-                self.last_advance.insert(member, now);
+            for slot in self.slots.iter_mut().filter(|slot| slot.member) {
+                slot.heard_ms = Some(now);
             }
             ctx.set_timer(self.hb_interval_ms, TICK_TAG);
             ctx.forward(event);
@@ -227,19 +300,11 @@ impl Session for FailureDetectorSession {
             return;
         }
         if let Some(install) = event.get::<ViewInstall>() {
-            self.members = install.view.members.clone();
-            self.member_set = self.members.iter().copied().collect();
-            self.suspected.retain(|node| self.members.contains(node));
-            self.counters.retain(|node, _| self.members.contains(node));
-            // Drop expelled members' timestamps too: a member expelled and
-            // later re-admitted by a join must get a fresh grace period, not
-            // be instantly re-suspected off its stale pre-expulsion age.
-            self.last_advance
-                .retain(|node, _| self.members.contains(node));
-            let now = ctx.now_ms();
-            for member in self.members.clone() {
-                self.last_advance.entry(member).or_insert(now);
-            }
+            // Expelled members' timestamps go with their slots: a member
+            // expelled and later re-admitted by a join must get a fresh grace
+            // period, not be instantly re-suspected off its stale
+            // pre-expulsion age.
+            self.install(&install.view.members, ctx.now_ms());
             ctx.forward(event);
             return;
         }
@@ -256,7 +321,8 @@ impl Session for FailureDetectorSession {
                 if let Some(digest) = digest {
                     self.merge_digest(&digest, now, ctx);
                 }
-                self.heard_from(source, now, ctx);
+                let at = self.slot_of(source);
+                self.heard_from(at, now, ctx);
                 // Heartbeats are absorbed; they carry no application meaning.
                 return;
             }
@@ -266,7 +332,8 @@ impl Session for FailureDetectorSession {
         if event.direction == Direction::Up {
             if let Some(data) = event.get_mut::<DataEvent>() {
                 let source = data.header.source;
-                self.heard_from(source, ctx.now_ms(), ctx);
+                let at = self.slot_of(source);
+                self.heard_from(at, ctx.now_ms(), ctx);
             }
         }
         ctx.forward(event);
@@ -277,6 +344,7 @@ impl Session for FailureDetectorSession {
 mod tests {
     use morpheus_appia::platform::TestPlatform;
     use morpheus_appia::testing::Harness;
+    use morpheus_appia::wire::Wire;
 
     use super::*;
 
@@ -683,5 +751,229 @@ mod tests {
             .filter(|event| event.is::<Suspect>())
             .count();
         assert_eq!(late_suspects, 0);
+    }
+
+    /// The failure detector's semantics over plain ordered maps, one map or
+    /// set per concern: the reference the node-ordered slot table is
+    /// checked against.
+    struct ReferenceFd {
+        members: Vec<NodeId>,
+        counters: std::collections::BTreeMap<NodeId, u64>,
+        last_advance: std::collections::BTreeMap<NodeId, u64>,
+        suspected: std::collections::BTreeSet<NodeId>,
+        interval: u64,
+        timeout: u64,
+    }
+
+    /// A `Suspect` or `Alive` raised to the layer above.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Signal {
+        Suspect(NodeId),
+        Alive(NodeId),
+    }
+
+    impl ReferenceFd {
+        fn heard_from(&mut self, node: NodeId, now: u64, out: &mut Vec<Signal>) {
+            self.last_advance.insert(node, now);
+            if self.suspected.remove(&node) {
+                out.push(Signal::Alive(node));
+            }
+        }
+
+        fn heartbeat(
+            &mut self,
+            source: NodeId,
+            rows: Option<&[(NodeId, u64)]>,
+            now: u64,
+            out: &mut Vec<Signal>,
+        ) {
+            for (node, counter) in rows.unwrap_or_default() {
+                if !self.members.contains(node) {
+                    continue;
+                }
+                let known = self.counters.entry(*node).or_insert(0);
+                if *counter > *known {
+                    *known = *counter;
+                    self.heard_from(*node, now, out);
+                }
+            }
+            self.heard_from(source, now, out);
+        }
+
+        /// One tick; returns the digest rows when a digest goes out.
+        fn tick(
+            &mut self,
+            local: NodeId,
+            now: u64,
+            out: &mut Vec<Signal>,
+        ) -> Option<Vec<(NodeId, u64)>> {
+            let counter = self.counters.entry(local).or_insert(0);
+            *counter = (*counter + 1).max(now / self.interval);
+            self.last_advance.insert(local, now);
+            let digest = self.members.iter().any(|member| *member != local).then(|| {
+                let mut rows: Vec<(NodeId, u64)> = self
+                    .members
+                    .iter()
+                    .filter_map(|member| self.counters.get(member).map(|c| (*member, *c)))
+                    .collect();
+                rows.sort_unstable_by_key(|(node, _)| node.0);
+                rows
+            });
+            for member in self.members.clone() {
+                if member == local || self.suspected.contains(&member) {
+                    continue;
+                }
+                let last = self.last_advance.get(&member).copied().unwrap_or(0);
+                if now.saturating_sub(last) >= self.timeout {
+                    self.suspected.insert(member);
+                    out.push(Signal::Suspect(member));
+                }
+            }
+            digest
+        }
+
+        fn install(&mut self, members: &[NodeId], now: u64) {
+            self.members = members.to_vec();
+            self.suspected.retain(|node| members.contains(node));
+            self.counters.retain(|node, _| members.contains(node));
+            self.last_advance.retain(|node, _| members.contains(node));
+            for member in members {
+                self.last_advance.entry(*member).or_insert(now);
+            }
+        }
+    }
+
+    fn signals(events: &[Event]) -> Vec<Signal> {
+        events
+            .iter()
+            .filter_map(|event| {
+                event
+                    .get::<Suspect>()
+                    .map(|suspect| Signal::Suspect(suspect.node))
+                    .or_else(|| event.get::<Alive>().map(|alive| Signal::Alive(alive.node)))
+            })
+            .collect()
+    }
+
+    /// A random subset of nodes `0..universe`, in node order.
+    fn random_members(rng: &mut morpheus_netsim::SimRng, universe: u32) -> Vec<NodeId> {
+        (0..universe)
+            .filter(|_| rng.chance(0.7))
+            .map(NodeId)
+            .collect()
+    }
+
+    #[test]
+    fn the_slot_table_matches_the_reference_model_on_random_histories() {
+        const UNIVERSE: u32 = 12;
+        for seed in 0..48u64 {
+            let mut rng = morpheus_netsim::SimRng::new(seed);
+            let local = NodeId(rng.random_below(u64::from(UNIVERSE)) as u32);
+            let mut platform = TestPlatform::new(local);
+            let members = random_members(&mut rng, UNIVERSE);
+            let ids: Vec<u32> = members.iter().map(|node| node.0).collect();
+            let (interval, timeout) = (100, 250 + 50 * rng.random_below(4));
+            let mut fd = Harness::new(
+                FailureDetectorLayer,
+                &fd_params_with_fanout(&ids, interval, timeout, 3),
+                &mut platform,
+            );
+            let mut model = ReferenceFd {
+                last_advance: members.iter().map(|node| (*node, 0)).collect(),
+                members,
+                counters: Default::default(),
+                suspected: Default::default(),
+                interval,
+                timeout,
+            };
+
+            for step in 0..300 {
+                let now = platform.now_ms;
+                let mut expected = Vec::new();
+                let context = format!("seed {seed} step {step}");
+                match rng.random_below(10) {
+                    // A digest: rows for members and non-members, in random
+                    // or node order, duplicates and counter-0 rows included.
+                    0..=3 => {
+                        let source = NodeId(rng.random_below(u64::from(UNIVERSE) + 2) as u32);
+                        let ceiling = now / interval + 3;
+                        let mut rows: Vec<(NodeId, u64)> = (0..rng
+                            .random_below(2 * u64::from(UNIVERSE)))
+                            .map(|_| {
+                                let node = NodeId(rng.random_below(u64::from(UNIVERSE) + 2) as u32);
+                                let counter = if rng.chance(0.15) {
+                                    0
+                                } else {
+                                    rng.random_below(ceiling + 1)
+                                };
+                                (node, counter)
+                            })
+                            .collect();
+                        if rng.chance(0.5) {
+                            rows.sort_unstable();
+                        }
+                        model.heartbeat(source, Some(&rows), now, &mut expected);
+                        let got = fd.run_up(
+                            digest_heartbeat(
+                                source.0,
+                                local.0,
+                                &rows.iter().map(|(n, c)| (n.0, *c)).collect::<Vec<_>>(),
+                            ),
+                            &mut platform,
+                        );
+                        assert_eq!(signals(&got), expected, "{context}: digest {rows:?}");
+                    }
+                    // A bare (legacy) heartbeat or a data event, possibly
+                    // from a non-member.
+                    4 | 5 => {
+                        let source = NodeId(rng.random_below(u64::from(UNIVERSE) + 2) as u32);
+                        model.heartbeat(source, None, now, &mut expected);
+                        let event = if rng.chance(0.5) {
+                            Event::up(Heartbeat::new(source, Dest::Node(local), Message::new()))
+                        } else {
+                            Event::up(DataEvent::new(
+                                source,
+                                Dest::Node(local),
+                                Message::with_payload(&b"x"[..]),
+                            ))
+                        };
+                        let got = fd.run_up(event, &mut platform);
+                        assert_eq!(signals(&got), expected, "{context}: from {source:?}");
+                    }
+                    // A view install that drops and re-admits members.
+                    6 => {
+                        let view = crate::view::View::new(step, random_members(&mut rng, UNIVERSE));
+                        model.install(&view.members, now);
+                        fd.run_down(Event::down(ViewInstall { view }), &mut platform);
+                        assert_eq!(signals(&fd.drain_up()), expected, "{context}: install");
+                    }
+                    // Time passes and the tick fires.
+                    _ => {
+                        platform.advance(rng.random_below(3 * interval));
+                        let now = platform.now_ms;
+                        let digest = model.tick(local, now, &mut expected);
+                        fire_pending_timers(&mut fd, &mut platform);
+                        assert_eq!(signals(&fd.drain_up()), expected, "{context}: tick");
+                        let sent: Vec<_> = fd
+                            .drain_down()
+                            .iter()
+                            .filter_map(|event| event.get::<Heartbeat>())
+                            .map(|hb| {
+                                hb.message
+                                    .clone()
+                                    .pop::<LivenessDigest>()
+                                    .unwrap()
+                                    .to_bytes()
+                            })
+                            .collect();
+                        let wanted: Vec<_> = digest
+                            .into_iter()
+                            .map(|entries| LivenessDigest { entries }.to_bytes())
+                            .collect();
+                        assert_eq!(sent, wanted, "{context}: digest bytes");
+                    }
+                }
+            }
+        }
     }
 }

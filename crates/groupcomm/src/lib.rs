@@ -15,7 +15,8 @@
 //! * epidemic (gossip) multicast ([`gossip`]) for large-scale groups;
 //! * FIFO ordering ([`fifo`]), NACK-based reliable multicast ([`reliable`]),
 //!   forward error correction ([`fec`]);
-//! * a heartbeat failure detector ([`failure_detector`]);
+//! * a heartbeat failure detector ([`failure_detector`]) over a node-ordered
+//!   state table ([`table`]);
 //! * group membership with view synchrony ([`vsync`], [`view`]);
 //! * view-synchronous state transfer for member rejoin ([`recovery`]);
 //! * causal ([`causal`]) and sequencer-based total ordering ([`total`]).
@@ -40,6 +41,7 @@ pub mod reliable;
 pub mod repair;
 pub mod round;
 pub mod suite;
+pub mod table;
 pub mod total;
 pub mod view;
 pub mod vsync;
